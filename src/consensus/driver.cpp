@@ -22,6 +22,7 @@ ConsensusRunResult evaluate_consensus(const ConsensusProtocol& protocol,
 
   out.decisions.resize(static_cast<std::size_t>(n), -1);
   out.decision_rounds.resize(static_cast<std::size_t>(n), 0);
+  out.proc_steps.resize(static_cast<std::size_t>(n), 0);
   out.all_decided = true;
   out.consistent = true;
   int decided_value = -1;
@@ -30,6 +31,7 @@ ConsensusRunResult evaluate_consensus(const ConsensusProtocol& protocol,
     out.decisions[static_cast<std::size_t>(p)] = d;
     out.decision_rounds[static_cast<std::size_t>(p)] =
         protocol.decision_round(p);
+    out.proc_steps[static_cast<std::size_t>(p)] = rt.steps(p);
     out.max_proc_steps = std::max(out.max_proc_steps, rt.steps(p));
     if (d == -1) {
       if (!crashed[static_cast<std::size_t>(p)]) out.all_decided = false;

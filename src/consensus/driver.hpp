@@ -98,6 +98,7 @@ struct ConsensusRunResult {
   std::vector<std::int64_t> decision_rounds;
   std::uint64_t total_steps = 0;
   std::uint64_t max_proc_steps = 0;
+  std::vector<std::uint64_t> proc_steps;  ///< per process
   std::int64_t max_round = 0;  ///< max decision round over deciders
   MemoryFootprint footprint;
   RunResult::Reason reason = RunResult::Reason::kAllDone;

@@ -1,11 +1,13 @@
 #include "verify/linearizability.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <mutex>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace bprc {
 
@@ -13,71 +15,149 @@ namespace {
 
 std::mutex g_recorder_mutex;
 
-struct Search {
-  /// A memoized dead state: the exact set of already-linearized ops (as a
-  /// word-packed bitset) plus the register value — no lossy mixing, so a
-  /// memo hit can never be a collision between distinct states.
-  struct State {
-    std::vector<std::uint64_t> mask;
-    std::uint64_t value = 0;
-    friend bool operator==(const State& a, const State& b) {
-      return a.value == b.value && a.mask == b.mask;
-    }
-  };
-  struct StateHash {
-    std::size_t operator()(const State& s) const {
-      std::uint64_t h = 0xCBF29CE484222325ULL;
-      for (const std::uint64_t w : s.mask) {
-        h ^= w;
-        h *= 0x100000001B3ULL;
-      }
-      h ^= s.value;
-      h *= 0x100000001B3ULL;
-      return static_cast<std::size_t>(h);
-    }
-  };
+std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
 
-  const std::vector<RegOp>& ops;
-  std::unordered_set<State, StateHash> failed;  ///< memo of dead states
-  std::vector<std::uint64_t> mask;              ///< current done-set
-  std::size_t done_count = 0;
-
+/// Wing–Gong search over the ops sorted by invocation. The pending ops form
+/// a doubly linked list (position n is its sentinel); linearizing an op
+/// unlinks it and backtracking relinks it, in LIFO order.
+class Search {
+ public:
   explicit Search(const std::vector<RegOp>& history)
-      : ops(history), mask((history.size() + 63) / 64, 0) {}
-
-  bool done(std::size_t i) const {
-    return (mask[i >> 6] >> (i & 63)) & std::uint64_t{1};
+      : ops_(history),
+        n_(history.size()),
+        next_(n_ + 1),
+        prev_(n_ + 1),
+        done_(n_, 0) {
+    std::stable_sort(ops_.begin(), ops_.end(),
+                     [](const RegOp& a, const RegOp& b) {
+                       return a.inv < b.inv;
+                     });
+    for (std::size_t i = 0; i <= n_; ++i) {
+      next_[i] = i == n_ ? 0 : i + 1;
+      prev_[i] = i == 0 ? n_ : i - 1;
+    }
   }
-  void set(std::size_t i) { mask[i >> 6] |= std::uint64_t{1} << (i & 63); }
-  void clear(std::size_t i) { mask[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }
 
-  bool dfs(std::uint64_t value) {
-    const std::size_t n = ops.size();
-    if (done_count == n) return true;
-    State state{mask, value};
-    if (failed.contains(state)) return false;
+  bool run(std::uint64_t initial_value) {
+    if (n_ == 0) return true;
+    std::vector<Frame> stack{{initial_value, kNoRes, next_[n_]}};
+    while (true) {
+      Frame& f = stack.back();
+      const std::size_t i = next_candidate(f);
+      if (i == n_) {  // every candidate of this state failed
+        mark_dead(f.value);
+        stack.pop_back();
+        if (stack.empty()) return false;
+        Frame& parent = stack.back();
+        untake(parent.cursor);
+        parent.cursor = next_[parent.cursor];
+        continue;
+      }
+      const std::uint64_t value = ops_[i].is_write ? ops_[i].value : f.value;
+      take(i);
+      if (done_count_ == n_) return true;
+      if (is_dead(value)) {
+        untake(i);
+        f.cursor = next_[i];
+        continue;
+      }
+      stack.push_back({value, kNoRes, next_[n_]});
+    }
+  }
 
-    // Frontier: op i may linearize next iff no other pending op responded
-    // before i was invoked.
-    std::uint64_t min_res = ~std::uint64_t{0};
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!done(i)) min_res = std::min(min_res, ops[i].res);
+ private:
+  static constexpr std::uint64_t kNoRes = ~std::uint64_t{0};
+
+  /// One search level: the register value in this state, and the walk
+  /// over its pending ops. While a child level is live, `cursor` is the op
+  /// that child linearized.
+  struct Frame {
+    std::uint64_t value;
+    std::uint64_t min_res;  ///< least `res` among pending ops walked so far
+    std::size_t cursor;
+  };
+
+  /// A memoized dead state, stored exactly: every op before `head` is
+  /// done, `head` is pending, and `after` lists the done ops after it.
+  /// Those all lie in head's concurrency window, so a dead state costs
+  /// O(concurrency), not O(history).
+  struct DeadState {
+    std::uint64_t value;
+    std::size_t head;
+    std::vector<std::size_t> after;
+  };
+
+  /// Walks the pending list from f.cursor for the next op that may
+  /// linearize now: no pending op responded before it was invoked, and a
+  /// read must return the current value. Ops come in invocation order, so
+  /// an op later in the list responds after this one is invoked; the walk
+  /// stops at the first op invoked after the running minimum response.
+  std::size_t next_candidate(Frame& f) const {
+    for (std::size_t i = f.cursor; i != n_; i = next_[i]) {
+      const RegOp& op = ops_[i];
+      if (op.inv > f.min_res) break;
+      f.min_res = std::min(f.min_res, op.res);
+      if (op.is_write || op.value == f.value) return f.cursor = i;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done(i)) continue;
-      const RegOp& op = ops[i];
-      if (op.inv > min_res) continue;  // some pending op responded first
-      if (!op.is_write && op.value != value) continue;  // read must match
-      const std::uint64_t next_value = op.is_write ? op.value : value;
-      set(i);
-      ++done_count;
-      if (dfs(next_value)) return true;
-      clear(i);
-      --done_count;
+    return f.cursor = n_;
+  }
+
+  void take(std::size_t i) {
+    next_[prev_[i]] = next_[i];
+    prev_[next_[i]] = prev_[i];
+    done_[i] = 1;
+    hash_ ^= mix64(i);
+    ++done_count_;
+  }
+  void untake(std::size_t i) {
+    next_[prev_[i]] = i;
+    prev_[next_[i]] = i;
+    done_[i] = 0;
+    hash_ ^= mix64(i);
+    --done_count_;
+  }
+
+  /// Memo key of the current done-set (XOR of per-op keys, maintained by
+  /// take/untake) with the register value.
+  std::uint64_t key(std::uint64_t value) const {
+    return hash_ ^ mix64(value ^ 0xA5A5A5A5A5A5A5A5ULL);
+  }
+
+  bool is_dead(std::uint64_t value) const {
+    if (dead_.empty()) return false;
+    const std::size_t head = next_[n_];
+    const auto [lo, hi] = dead_.equal_range(key(value));
+    for (auto it = lo; it != hi; ++it) {
+      const DeadState& s = it->second;
+      // Same head and as many done ops after it: equal iff all of the
+      // memoized ones are done now.
+      if (s.value == value && s.head == head &&
+          s.after.size() == done_count_ - head &&
+          std::all_of(s.after.begin(), s.after.end(),
+                      [&](std::size_t p) { return done_[p] != 0; })) {
+        return true;
+      }
     }
-    failed.insert(std::move(state));
     return false;
   }
+
+  void mark_dead(std::uint64_t value) {
+    DeadState s{value, next_[n_], {}};
+    s.after.reserve(done_count_ - s.head);
+    for (std::size_t p = s.head + 1; s.after.size() < done_count_ - s.head;
+         ++p) {
+      if (done_[p]) s.after.push_back(p);
+    }
+    dead_.emplace(key(value), std::move(s));
+  }
+
+  std::vector<RegOp> ops_;  ///< the history, sorted by invocation
+  std::size_t n_;
+  std::vector<std::size_t> next_, prev_;
+  std::vector<char> done_;
+  std::size_t done_count_ = 0;
+  std::uint64_t hash_ = 0;
+  std::unordered_multimap<std::uint64_t, DeadState> dead_;
 };
 
 }  // namespace
@@ -88,7 +168,7 @@ LinResult check_register_linearizable(const std::vector<RegOp>& history,
     BPRC_REQUIRE(op.inv < op.res, "operation interval must be non-empty");
   }
   Search search(history);
-  if (search.dfs(initial_value)) return {true, {}};
+  if (search.run(initial_value)) return {true, {}};
 
   std::string witness = "no linearization exists; history:";
   for (const RegOp& op : history) {

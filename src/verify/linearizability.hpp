@@ -7,10 +7,14 @@
 // order and sequential register semantics.
 //
 // The search is the classic Wing–Gong DFS with exact memoization on
-// (set-of-linearized-ops, current register value). The done-set is a
-// word-packed dynamic bitset, so histories of any length are accepted;
-// runtime is exponential in the *concurrency* of the history, not its
-// length, so long low-contention histories stay fast.
+// (set-of-linearized-ops, current register value), run on an explicit
+// stack so history length never bounds recursion depth. The pending ops
+// are kept in a linked list in invocation order, and each level walks it
+// only until the first op invoked after some walked op responded (Lowe's
+// just-in-time frontier): a level costs O(concurrency), not O(history).
+// The memo is probed through an incrementally maintained hash of the
+// done-set. A sequential history is therefore checked in O(n log n);
+// runtime is exponential only in the history's *concurrency*.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <deque>
 #include <queue>
+#include <span>
 #include <sstream>
+#include <utility>
 
 #include "verify/linearizability.hpp"
 
@@ -129,25 +131,27 @@ bool build_location_index(const Recording& rec, const Flat& flat,
   return true;
 }
 
+/// The happens-before edges as one flat CSR array: the successors of
+/// action a are succ[first[a] .. first[a + 1]), in emission order.
 struct Graph {
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::size_t> indegree;
+  std::vector<std::size_t> first;
+  std::vector<std::size_t> succ;
 
-  explicit Graph(std::size_t n) : out(n), indegree(n, 0) {}
-
-  void edge(std::size_t a, std::size_t b) {
-    out[a].push_back(b);
-    ++indegree[b];
+  std::size_t size() const { return first.size() - 1; }
+  std::span<const std::size_t> out(std::size_t a) const {
+    return {succ.data() + first[a], first[a + 1] - first[a]};
   }
 };
 
-Graph build_edges(const Recording& rec, const Flat& flat,
-                  const std::vector<LocationIndex>& index) {
-  Graph g(flat.actions.size());
+/// Calls edge(a, b) for every po, rf, fr and mo edge. The order is fixed:
+/// it decides which cycle edge a witness reports and the path it prints.
+template <class Edge>
+void for_each_edge(const Recording& rec, const Flat& flat,
+                   const std::vector<LocationIndex>& index, Edge&& edge) {
   // po: consecutive actions of one thread.
   for (std::size_t t = 0; t < rec.logs.size(); ++t) {
     for (std::size_t i = 1; i < rec.logs[t].size(); ++i) {
-      g.edge(flat.base[t] + i - 1, flat.base[t] + i);
+      edge(flat.base[t] + i - 1, flat.base[t] + i);
     }
   }
   for (std::size_t id = 0; id < flat.actions.size(); ++id) {
@@ -155,69 +159,121 @@ Graph build_edges(const Recording& rec, const Flat& flat,
     const auto& writers = index[static_cast<std::size_t>(a.location)].writers;
     if (a.kind != MemAction::Kind::kStore) {
       // rf: the write this read observed precedes it.
-      if (a.rf >= 1) g.edge(writers[a.rf - 1], id);
+      if (a.rf >= 1) edge(writers[a.rf - 1], id);
       // fr: this read precedes the write that overwrote what it saw. For
       // an RMW that overwriter is the RMW itself — no edge.
       if (a.rf < writers.size() && writers[a.rf] != id) {
-        g.edge(id, writers[a.rf]);
+        edge(id, writers[a.rf]);
       }
     }
     if (a.kind != MemAction::Kind::kLoad && a.mo >= 2) {
       // mo: version v-1 precedes version v.
-      g.edge(writers[a.mo - 2], id);
+      edge(writers[a.mo - 2], id);
     }
   }
+}
+
+/// Builds the CSR graph in two passes: count out-degrees, then fill.
+Graph build_edges(const Recording& rec, const Flat& flat,
+                  const std::vector<LocationIndex>& index) {
+  const std::size_t n = flat.actions.size();
+  Graph g;
+  g.first.assign(n + 1, 0);
+  for_each_edge(rec, flat, index,
+                [&](std::size_t a, std::size_t) { ++g.first[a + 1]; });
+  for (std::size_t a = 0; a < n; ++a) g.first[a + 1] += g.first[a];
+  g.succ.resize(g.first[n]);
+  std::vector<std::size_t> fill(g.first.begin(), g.first.end() - 1);
+  for_each_edge(rec, flat, index, [&](std::size_t a, std::size_t b) {
+    g.succ[fill[a]++] = b;
+  });
   return g;
 }
 
-/// Clock-vector fixpoint: cv[id][t] = count of thread-t actions that
-/// happen before or equal action `id` under po ∪ rf ∪ mo ∪ fr.
-std::vector<std::vector<std::uint32_t>> clock_vectors(const Flat& flat,
-                                                      const Graph& g,
-                                                      std::size_t nthreads) {
-  std::vector<std::vector<std::uint32_t>> cv(
-      flat.actions.size(), std::vector<std::uint32_t>(nthreads, 0));
-  std::deque<std::size_t> work;
-  std::vector<bool> queued(flat.actions.size(), false);
-  for (std::size_t id = 0; id < flat.actions.size(); ++id) {
-    const MemAction& a = *flat.actions[id];
-    cv[id][static_cast<std::size_t>(a.thread)] = a.seq + 1;
-    work.push_back(id);
-    queued[id] = true;
+/// Deterministic topological sort (Kahn, smallest global id first). The
+/// result covers every action iff the graph is acyclic.
+std::vector<std::size_t> topological_order(const Graph& g) {
+  std::vector<std::size_t> indegree(g.size(), 0);
+  for (const std::size_t b : g.succ) ++indegree[b];
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      ready;
+  for (std::size_t id = 0; id < g.size(); ++id) {
+    if (indegree[id] == 0) ready.push(id);
   }
-  while (!work.empty()) {
-    const std::size_t id = work.front();
-    work.pop_front();
-    queued[id] = false;
-    for (const std::size_t succ : g.out[id]) {
-      bool grew = false;
-      for (std::size_t t = 0; t < nthreads; ++t) {
-        if (cv[id][t] > cv[succ][t]) {
-          cv[succ][t] = cv[id][t];
-          grew = true;
+  std::vector<std::size_t> order;
+  order.reserve(g.size());
+  while (!ready.empty()) {
+    const std::size_t id = ready.top();
+    ready.pop();
+    order.push_back(id);
+    for (const std::size_t succ : g.out(id)) {
+      if (--indegree[succ] == 0) ready.push(succ);
+    }
+  }
+  return order;
+}
+
+/// Strongly connected components (iterative Tarjan): comp[a] == comp[b]
+/// iff a and b lie on a common cycle.
+std::vector<std::size_t> components(const Graph& g) {
+  constexpr std::size_t kNone = SIZE_MAX;
+  const std::size_t n = g.size();
+  std::vector<std::size_t> index(n, kNone), low(n, 0), comp(n, kNone);
+  std::vector<std::size_t> members;  // Tarjan's stack
+  std::vector<std::pair<std::size_t, std::size_t>> calls;  // (node, edge)
+  std::size_t next_index = 0, next_comp = 0;
+  const auto visit = [&](std::size_t v) {
+    index[v] = low[v] = next_index++;
+    members.push_back(v);
+    calls.emplace_back(v, g.first[v]);
+  };
+  for (std::size_t root = 0; root < n; ++root) {
+    if (index[root] != kNone) continue;
+    visit(root);
+    while (!calls.empty()) {
+      const std::size_t v = calls.back().first;
+      const std::size_t e = calls.back().second;
+      if (e < g.first[v + 1]) {
+        ++calls.back().second;
+        const std::size_t w = g.succ[e];
+        if (index[w] == kNone) {
+          visit(w);
+        } else if (comp[w] == kNone) {  // w is still on Tarjan's stack
+          low[v] = std::min(low[v], index[w]);
         }
+        continue;
       }
-      if (grew && !queued[succ]) {
-        work.push_back(succ);
-        queued[succ] = true;
+      calls.pop_back();
+      if (!calls.empty()) {
+        const std::size_t u = calls.back().first;
+        low[u] = std::min(low[u], low[v]);
+      }
+      if (low[v] == index[v]) {
+        std::size_t w;
+        do {
+          w = members.back();
+          members.pop_back();
+          comp[w] = next_comp;
+        } while (w != v);
+        ++next_comp;
       }
     }
   }
-  return cv;
+  return comp;
 }
 
 /// Finds a path b ⇝ a (BFS over the edge graph) for the cycle witness.
 std::vector<std::size_t> find_path(const Graph& g, std::size_t from,
                                    std::size_t to) {
-  std::vector<std::size_t> parent(g.out.size(), SIZE_MAX);
+  std::vector<std::size_t> parent(g.size(), SIZE_MAX);
   std::deque<std::size_t> work{from};
-  std::vector<bool> seen(g.out.size(), false);
+  std::vector<bool> seen(g.size(), false);
   seen[from] = true;
   while (!work.empty()) {
     const std::size_t id = work.front();
     work.pop_front();
     if (id == to) break;
-    for (const std::size_t succ : g.out[id]) {
+    for (const std::size_t succ : g.out(id)) {
       if (!seen[succ]) {
         seen[succ] = true;
         parent[succ] = id;
@@ -232,6 +288,28 @@ std::vector<std::size_t> find_path(const Graph& g, std::size_t from,
   }
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+/// Describes the happens-before cycle closed by the first edge a→b, in
+/// (a, edge) order, whose endpoints share a strongly connected component:
+/// b ⇝ a, so a→b closes a cycle and no SC total order explains the run.
+std::string cycle_witness(const Recording& rec, const Flat& flat,
+                          const Graph& g) {
+  const std::vector<std::size_t> comp = components(g);
+  for (std::size_t a = 0; a < g.size(); ++a) {
+    for (const std::size_t b : g.out(a)) {
+      if (a == b || comp[a] != comp[b]) continue;
+      std::ostringstream witness;
+      witness << "non-SC execution: happens-before cycle\n";
+      for (const std::size_t id : find_path(g, b, a)) {
+        witness << "  " << describe_action(rec, *flat.actions[id]) << "\n";
+      }
+      witness << "  " << describe_action(rec, *flat.actions[b])
+              << "  <- cycle closes here";
+      return witness.str();
+    }
+  }
+  return "internal: topological sort incomplete";
 }
 
 }  // namespace
@@ -290,55 +368,15 @@ SCResult check_sc(const Recording& rec) {
   result.well_formed = true;
 
   const Graph g = build_edges(rec, flat, index);
-  const auto cv = clock_vectors(flat, g, rec.logs.size());
-
-  // An edge a→b whose source's clock vector already covers b means b ⇝ a:
-  // together with a→b that is a happens-before cycle, i.e. no SC total
-  // order can explain this execution.
-  for (std::size_t a = 0; a < flat.actions.size(); ++a) {
-    for (const std::size_t b : g.out[a]) {
-      if (a == b) continue;
-      const MemAction& bact = *flat.actions[b];
-      if (cv[a][static_cast<std::size_t>(bact.thread)] >= bact.seq + 1) {
-        std::ostringstream witness;
-        witness << "non-SC execution: happens-before cycle\n";
-        const std::vector<std::size_t> path = find_path(g, b, a);
-        for (const std::size_t id : path) {
-          witness << "  " << describe_action(rec, *flat.actions[id]) << "\n";
-        }
-        witness << "  " << describe_action(rec, *flat.actions[b])
-                << "  <- cycle closes here";
-        result.witness = witness.str();
-        return result;
-      }
-    }
+  // The sort stalls, leaving actions unordered, exactly when
+  // po ∪ rf ∪ mo ∪ fr has a cycle.
+  std::vector<std::size_t> order = topological_order(g);
+  if (order.size() != flat.actions.size()) {
+    result.witness = cycle_witness(rec, flat, g);
+    return result;
   }
   result.sc = true;
-
-  // Deterministic topological sort (Kahn, smallest global id first).
-  {
-    std::priority_queue<std::size_t, std::vector<std::size_t>,
-                        std::greater<>> ready;
-    std::vector<std::size_t> indegree = g.indegree;
-    for (std::size_t id = 0; id < flat.actions.size(); ++id) {
-      if (indegree[id] == 0) ready.push(id);
-    }
-    result.order.reserve(flat.actions.size());
-    while (!ready.empty()) {
-      const std::size_t id = ready.top();
-      ready.pop();
-      result.order.push_back(id);
-      for (const std::size_t succ : g.out[id]) {
-        if (--indegree[succ] == 0) ready.push(succ);
-      }
-    }
-    // The cycle scan above proved acyclicity; the sort must be total.
-    if (result.order.size() != flat.actions.size()) {
-      result.sc = false;
-      result.witness = "internal: topological sort incomplete";
-      return result;
-    }
-  }
+  result.order = std::move(order);
 
   // Feed the SC order through the Wing–Gong checker, one sequential
   // RegOp history per location: every read must return the latest write.

@@ -12,17 +12,19 @@
 //        version v+1 (it demonstrably executed before that write).
 //
 // The execution is explainable by a sequentially consistent total order
-// iff po ∪ rf ∪ mo ∪ fr is acyclic (Shasha–Snir). Cycle detection uses
-// clock vectors: cv[a][t] = number of thread-t actions that happen before
-// or equal a, propagated along edges to fixpoint; an edge a→b where
-// cv[a] already covers b witnesses a cycle, and the checker reports the
-// full cycle path as a human-readable witness.
+// iff po ∪ rf ∪ mo ∪ fr is acyclic (Shasha–Snir). The edges live in one
+// flat CSR array, and a deterministic topological sort (Kahn, smallest
+// action id first) decides acyclicity: it orders every action iff there
+// is no cycle, in O((n + m) log n) time for n actions and m edges.
 //
-// When the relation is acyclic, a deterministic topological sort yields
-// an SC total order, which is re-validated through the existing
-// Wing–Gong linearizability checker: each location's actions become a
-// sequential RegOp history (read-your-latest-write semantics), so native
-// runs are graded by exactly the oracle the simulator uses.
+// When the sort is total it is the SC total order, which is re-validated
+// through the existing Wing–Gong linearizability checker: each location's
+// actions become a sequential RegOp history (read-your-latest-write
+// semantics), so native runs are graded by exactly the oracle the
+// simulator uses. When it is not, a strongly-connected-component pass
+// picks the first edge a→b (by source id, then edge order) whose
+// endpoints share a component, and the checker reports the cycle path
+// b ⇝ a → b as a human-readable witness.
 //
 // Scope: this is a *dynamic* analysis of one observed execution, like
 // TSAN — it proves this run SC or exhibits this run's violation; it does

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -17,6 +19,19 @@ namespace {
 
 constexpr std::uint64_t kBudget = 200'000'000;
 
+/// Why a run stopped and how far each process got, for termination
+/// failures: the stop reason, steps used against kBudget, per-process
+/// steps and decisions.
+std::string describe_stop(const ConsensusRunResult& res) {
+  std::ostringstream out;
+  out << "stopped: " << to_string(res.reason) << ", " << res.total_steps
+      << " of " << kBudget << " budgeted steps; per process (steps/decision):";
+  for (std::size_t p = 0; p < res.proc_steps.size(); ++p) {
+    out << " p" << p << "=" << res.proc_steps[p] << "/" << res.decisions[p];
+  }
+  return out.str();
+}
+
 class ThreadedBPRC
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
@@ -29,7 +44,7 @@ TEST_P(ThreadedBPRC, ConsistentValidTerminating) {
         return std::make_unique<BPRCConsensus>(rt, BPRCParams::standard(n));
       },
       inputs, seed, kBudget, /*yield_prob=*/0.1);
-  EXPECT_TRUE(res.all_decided);
+  EXPECT_TRUE(res.all_decided) << describe_stop(res);
   EXPECT_TRUE(res.consistent) << "CONSISTENCY VIOLATION on threads";
   EXPECT_TRUE(res.valid);
   EXPECT_LE(res.footprint.max_counter, res.footprint.static_bound);

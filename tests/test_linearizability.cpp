@@ -3,8 +3,12 @@
 // trusted when it judges the register constructions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <numeric>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "verify/linearizability.hpp"
 
 namespace bprc {
@@ -147,6 +151,86 @@ TEST(LinCheck, ReadOfNeverWrittenValueRejected) {
   EXPECT_FALSE(check_register_linearizable(
                    {W(1, 1, 2), W(2, 3, 4), R(3, 5, 6)}, 0)
                    .ok);
+}
+
+TEST(LinCheck, LongSequentialHistoryNeedsNoDeepRecursion) {
+  // 200k sequential ops: the search must neither recurse once per op nor
+  // rescan the history at every level.
+  std::vector<RegOp> h;
+  std::uint64_t t = 1;
+  for (std::uint64_t k = 1; k <= 100'000; ++k) {
+    h.push_back(W(k, t, t + 1, 0));
+    h.push_back(R(k, t + 2, t + 3, 1));
+    t += 4;
+  }
+  EXPECT_TRUE(check_register_linearizable(h, 0).ok);
+
+  // Rejected at the very end: the search backtracks through every level.
+  h.back().value = 0;
+  EXPECT_FALSE(check_register_linearizable(h, 0).ok);
+}
+
+/// Brute-force oracle: some permutation respects real time (a before b
+/// whenever a responded before b was invoked) and register semantics.
+bool linearizable_by_permutation(const std::vector<RegOp>& h,
+                                 std::uint64_t initial_value) {
+  std::vector<std::size_t> perm(h.size());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  do {
+    bool ok = true;
+    std::uint64_t value = initial_value;
+    for (std::size_t i = 0; i < perm.size() && ok; ++i) {
+      const RegOp& op = h[perm[i]];
+      for (std::size_t j = i + 1; j < perm.size() && ok; ++j) {
+        ok = !(h[perm[j]].res < op.inv);
+      }
+      if (op.is_write) {
+        value = op.value;
+      } else {
+        ok = ok && op.value == value;
+      }
+    }
+    if (ok) return true;
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return false;
+}
+
+TEST(LinCheck, AgreesWithPermutationOracle) {
+  // Seeded random histories of up to 7 ops on up to 3 processes. The
+  // timestamps come from a small range, so ops often share an endpoint
+  // (a response equal to another op's invocation is concurrent, not
+  // before); values 0..3 with writes of 1..2 only, so some reads return
+  // a value nobody wrote.
+  Rng rng(0x11AB);
+  int accepted = 0;
+  constexpr int kCases = 3000;
+  for (int c = 0; c < kCases; ++c) {
+    const std::uint64_t procs = 1 + rng.below(3);
+    const std::size_t ops = 1 + rng.below(7);
+    std::vector<std::uint64_t> clock(procs, 0);
+    std::vector<RegOp> h;
+    for (std::size_t i = 0; i < ops; ++i) {
+      const std::uint64_t p = rng.below(procs);
+      auto& now = clock[p];
+      const std::uint64_t inv = now + rng.below(3);
+      const std::uint64_t res = inv + 1 + rng.below(4);
+      now = res;  // the process's next op may be invoked at this instant
+      if (rng.flip()) {
+        h.push_back(W(1 + rng.below(2), inv, res, static_cast<ProcId>(p)));
+      } else {
+        h.push_back(R(rng.below(4), inv, res, static_cast<ProcId>(p)));
+      }
+    }
+    const std::uint64_t initial = rng.below(2);
+    const bool expect = linearizable_by_permutation(h, initial);
+    accepted += expect ? 1 : 0;
+    ASSERT_EQ(check_register_linearizable(h, initial).ok, expect)
+        << "case " << c << ":"
+        << check_register_linearizable(h, initial).witness;
+  }
+  // Both verdicts must be well represented for the comparison to bite.
+  EXPECT_GT(accepted, kCases / 5);
+  EXPECT_LT(accepted, kCases * 4 / 5);
 }
 
 TEST(LinCheckDeath, RejectsEmptyIntervals) {

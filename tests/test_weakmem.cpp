@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "util/rng.hpp"
 #include "verify/weakmem/recorder.hpp"
 #include "verify/weakmem/sc_checker.hpp"
 
@@ -175,6 +177,144 @@ TEST(WeakMem, LoadRejectsGarbage) {
   EXPECT_FALSE(load_recording(path).has_value());
   EXPECT_FALSE(load_recording("/nonexistent/nope").has_value());
   std::remove(path.c_str());
+}
+
+// ---- golden outputs ------------------------------------------------------
+// Exact witness text and SC order for fixed recordings. These pin the
+// checker's observable output byte for byte: which cycle edge it reports,
+// the path it prints, and the smallest-id-first topological order.
+
+TEST(WeakMemGolden, StoreBufferingWitness) {
+  // T0: W z, W x, R y=init.  T1: W y, R x=init, R z. The po ∪ fr cycle
+  // runs through both threads; the leading z traffic shifts the ids.
+  WeakMemRecorder rec(2);
+  const int x = rec.on_location("x", 0);
+  const int y = rec.on_location("y", 0);
+  const int z = rec.on_location("z", 0);
+  act(rec, 0, z, kStore, 1, 0, 1);
+  act(rec, 0, x, kStore, 1, 0, 1);
+  act(rec, 0, y, kLoad, 0, 0, 0);
+  act(rec, 1, y, kStore, 1, 0, 1);
+  act(rec, 1, x, kLoad, 0, 0, 0);
+  act(rec, 1, z, kLoad, 1, 1, 0);
+  const SCResult res = check_sc(rec.recording());
+  EXPECT_TRUE(res.well_formed);
+  EXPECT_FALSE(res.sc);
+  EXPECT_TRUE(res.order.empty());
+  EXPECT_EQ(res.witness, "non-SC execution: happens-before cycle\n"
+                         "  T0#2 R y=0 rf@v0 (seq_cst)\n"
+                         "  T1#0 W y=1 @v1 (seq_cst)\n"
+                         "  T1#1 R x=0 rf@v0 (seq_cst)\n"
+                         "  T0#1 W x=1 @v1 (seq_cst)\n"
+                         "  T0#2 R y=0 rf@v0 (seq_cst)  <- cycle closes here");
+}
+
+TEST(WeakMemGolden, CycleThroughRmwWitness) {
+  // Load buffering closed by an RMW: T0 reads T1's y write, then writes
+  // x; T1's RMW reads that x write, then writes y.
+  WeakMemRecorder rec(2);
+  const int x = rec.on_location("x", 0);
+  const int y = rec.on_location("y", 0);
+  act(rec, 0, y, kLoad, 1, 1, 0);
+  act(rec, 0, x, kStore, 5, 0, 1);
+  act(rec, 1, x, kRmw, 6, 1, 2);
+  act(rec, 1, y, kStore, 1, 0, 1);
+  const SCResult res = check_sc(rec.recording());
+  EXPECT_TRUE(res.well_formed);
+  EXPECT_FALSE(res.sc);
+  EXPECT_TRUE(res.order.empty());
+  EXPECT_EQ(res.witness, "non-SC execution: happens-before cycle\n"
+                         "  T0#1 W x=5 @v1 (seq_cst)\n"
+                         "  T1#0 RMW x=6 rf@v1->v2 (seq_cst)\n"
+                         "  T1#1 W y=1 @v1 (seq_cst)\n"
+                         "  T0#0 R y=1 rf@v1 (seq_cst)\n"
+                         "  T0#1 W x=5 @v1 (seq_cst)  <- cycle closes here");
+}
+
+TEST(WeakMemGolden, SingleLocationCoherenceWitness) {
+  // T1 reads version 2, then version 1: rf and fr on one location form
+  // the cycle.
+  WeakMemRecorder rec(2);
+  const int x = rec.on_location("x", 0);
+  act(rec, 0, x, kStore, 1, 0, 1);
+  act(rec, 0, x, kStore, 2, 0, 2);
+  act(rec, 1, x, kLoad, 2, 2, 0);
+  act(rec, 1, x, kLoad, 1, 1, 0);
+  const SCResult res = check_sc(rec.recording());
+  EXPECT_TRUE(res.well_formed);
+  EXPECT_FALSE(res.sc);
+  EXPECT_TRUE(res.order.empty());
+  EXPECT_EQ(res.witness, "non-SC execution: happens-before cycle\n"
+                         "  T1#0 R x=2 rf@v2 (seq_cst)\n"
+                         "  T1#1 R x=1 rf@v1 (seq_cst)\n"
+                         "  T0#1 W x=2 @v2 (seq_cst)\n"
+                         "  T1#0 R x=2 rf@v2 (seq_cst)  <- cycle closes here");
+}
+
+TEST(WeakMemGolden, AcyclicMultiLocationOrder) {
+  // Three threads over x, y and an RMW counter c, recorded from one SC
+  // interleaving.
+  WeakMemRecorder rec(3);
+  const int x = rec.on_location("x", 0);
+  const int y = rec.on_location("y", 0);
+  const int c = rec.on_location("c", 0);
+  act(rec, 0, x, kStore, 1, 0, 1);
+  act(rec, 0, c, kRmw, 2, 1, 2);
+  act(rec, 0, y, kLoad, 5, 1, 0);
+  act(rec, 0, x, kLoad, 2, 2, 0);
+  act(rec, 1, y, kStore, 5, 0, 1);
+  act(rec, 1, x, kLoad, 1, 1, 0);
+  act(rec, 1, c, kRmw, 3, 2, 3);
+  act(rec, 1, c, kLoad, 3, 3, 0);
+  act(rec, 2, c, kRmw, 1, 0, 1);
+  act(rec, 2, y, kLoad, 5, 1, 0);
+  act(rec, 2, x, kStore, 2, 0, 2);
+  const SCResult res = check_sc(rec.recording());
+  ASSERT_TRUE(res.ok()) << res.witness;
+  EXPECT_EQ(res.witness, "");
+  EXPECT_EQ(res.order, (std::vector<std::size_t>{0, 4, 5, 8, 1, 2, 6, 7, 9, 10, 3}));
+}
+
+TEST(WeakMem, LongSingleLocationRecording) {
+  // 64k actions on one location, from a seeded SC interleaving of stores,
+  // loads and RMWs by four threads. The per-location Wing–Gong history
+  // is as long as the recording, so neither the cycle check nor the
+  // coherence re-check may recurse once per action.
+  constexpr int kThreads = 4;
+  constexpr int kActions = 65'536;
+  WeakMemRecorder rec(kThreads);
+  const int x = rec.on_location("x", 0);
+  Rng rng(0x5C);
+  std::uint64_t version = 0;
+  std::vector<std::uint64_t> payload{0};
+  for (int i = 0; i < kActions; ++i) {
+    const auto t = static_cast<ProcId>(rng.below(kThreads));
+    switch (rng.below(3)) {
+      case 0:
+        act(rec, t, x, kLoad, payload[version], version, 0);
+        break;
+      case 1:
+        payload.push_back(static_cast<std::uint64_t>(i));
+        act(rec, t, x, kStore, payload.back(), 0, ++version);
+        break;
+      default:
+        payload.push_back(static_cast<std::uint64_t>(i));
+        act(rec, t, x, kRmw, payload.back(), version, version + 1);
+        ++version;
+        break;
+    }
+  }
+  const SCResult res = check_sc(rec.recording());
+  ASSERT_TRUE(res.ok()) << res.witness;
+  EXPECT_EQ(res.order.size(), static_cast<std::size_t>(kActions));
+
+  // One final read of the initial value closes a cycle through the whole
+  // history.
+  act(rec, 0, x, kLoad, 0, 0, 0);
+  const SCResult stale = check_sc(rec.recording());
+  EXPECT_TRUE(stale.well_formed);
+  EXPECT_FALSE(stale.sc);
+  EXPECT_NE(stale.witness.find("cycle closes here"), std::string::npos);
 }
 
 TEST(WeakMem, DescribeActionIsReadable) {
