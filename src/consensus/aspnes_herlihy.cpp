@@ -8,6 +8,13 @@
 
 namespace bprc {
 
+std::int64_t AHRecord::coin(std::int64_t r) const {
+  const auto it = std::lower_bound(
+      coins.begin(), coins.end(), r,
+      [](const AHRoundCoin& c, std::int64_t v) { return c.round < v; });
+  return it != coins.end() && it->round == r ? it->counter : 0;
+}
+
 AspnesHerlihyConsensus::AspnesHerlihyConsensus(Runtime& rt, CoinParams coin,
                                                int trail)
     : rt_(rt),
@@ -25,8 +32,8 @@ void AspnesHerlihyConsensus::track(const AHRecord& rec) {
   max_round_.store(
       std::max(max_round_.load(std::memory_order_relaxed), rec.round),
       std::memory_order_relaxed);
-  for (const auto& [round, counter] : rec.coins) {
-    (void)round;
+  for (const AHRoundCoin& c : rec.coins) {
+    const std::int64_t counter = c.counter;
     const std::int64_t mag = counter < 0 ? -counter : counter;
     std::int64_t cur = max_counter_.load(std::memory_order_relaxed);
     while (cur < mag && !max_counter_.compare_exchange_weak(
@@ -44,7 +51,6 @@ int AspnesHerlihyConsensus::propose(int input) {
   AHRecord rec;
   rec.pref = static_cast<std::int8_t>(input);
   rec.round = 1;
-  std::int64_t local_locations = 0;
 
   auto publish = [&](int walk_delta, bool decided) {
     Hint hint;
@@ -52,8 +58,7 @@ int AspnesHerlihyConsensus::propose(int input) {
         rec.round, std::numeric_limits<std::int32_t>::max()));
     hint.pref = rec.pref;
     hint.walk_delta = static_cast<std::int8_t>(walk_delta);
-    const auto it = rec.coins.find(rec.round + 1);
-    hint.counter = it == rec.coins.end() ? 0 : it->second;
+    hint.counter = rec.coin(rec.round + 1);
     hint.decided = decided;
     rt_.publish_hint(hint);
   };
@@ -61,8 +66,9 @@ int AspnesHerlihyConsensus::propose(int input) {
   publish(0, false);
   mem_.write(rec);
 
+  std::vector<AHRecord> view;  // reused by every scan
   while (true) {
-    const std::vector<AHRecord> view = mem_.scan();
+    mem_.scan_into(view);
     scans_.fetch_add(1, std::memory_order_relaxed);
 
     std::int64_t max_round = rec.round;
@@ -125,11 +131,7 @@ int AspnesHerlihyConsensus::propose(int input) {
     const std::int64_t target = rec.round + 1;
     std::int64_t walk = 0;
     for (int j = 0; j < n; ++j) {
-      const auto& coins = (j == me)
-                              ? rec.coins
-                              : view[static_cast<std::size_t>(j)].coins;
-      const auto it = coins.find(target);
-      if (it != coins.end()) walk += it->second;
+      walk += (j == me ? rec : view[static_cast<std::size_t>(j)]).coin(target);
     }
     if (walk > barrier || walk < -barrier) {
       rec.pref = walk > barrier ? kPref1 : kPref0;
@@ -142,12 +144,13 @@ int AspnesHerlihyConsensus::propose(int input) {
 
     const bool flip = rt_.rng().flip();
     publish(flip ? 1 : -1, false);
-    auto [it, inserted] = rec.coins.try_emplace(target, 0);
-    if (inserted) {
-      ++local_locations;
+    if (rec.coins.empty() || rec.coins.back().round != target) {
+      BPRC_REQUIRE(rec.coins.empty() || rec.coins.back().round < target,
+                   "coin rounds must grow");
+      rec.coins.push_back({target, 0});
       coin_locations_.fetch_add(1, std::memory_order_relaxed);
     }
-    it->second += flip ? 1 : -1;
+    rec.coins.back().counter += flip ? 1 : -1;
     flips_.fetch_add(1, std::memory_order_relaxed);
     mem_.write(rec, /*payload=*/flip ? 1 : -1);
     publish(0, false);

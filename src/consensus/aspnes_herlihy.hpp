@@ -10,29 +10,42 @@
 //
 // Faithfulness note (DESIGN.md §5): "unbounded" integers are 64-bit here;
 // what the experiments report is their *growth*, which 64 bits never
-// saturates in feasible runs. The per-round counter strip is a map in
-// each process's record — an honest rendition of a register whose value
-// domain grows without bound.
+// saturates in feasible runs. The per-round counter strip is a list in
+// each process's record that only ever grows — an honest rendition of a
+// register whose value domain grows without bound.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "coin/coin_logic.hpp"
 #include "consensus/protocol.hpp"
 #include "runtime/runtime.hpp"
 #include "snapshot/scannable_memory.hpp"
+#include "util/small_vector.hpp"
 
 namespace bprc {
+
+/// This process's walk counter for one round's shared coin.
+struct AHRoundCoin {
+  std::int64_t round = 0;
+  std::int64_t counter = 0;
+
+  friend bool operator==(const AHRoundCoin&, const AHRoundCoin&) = default;
+};
 
 struct AHRecord {
   std::int8_t pref = kUnwritten;
   std::int64_t round = 0;
-  /// round -> this process's walk counter for that round's shared coin.
-  /// Grows monotonically: nothing is ever withdrawn (the unboundedness).
-  std::map<std::int64_t, std::int64_t> coins;
+  /// One entry per round this process flipped in, sorted by round. Grows
+  /// monotonically: nothing is ever withdrawn (the unboundedness). Rounds
+  /// only grow, so a new entry is always appended; past the inline
+  /// capacity the list spills to a heap block that copies reuse.
+  SmallVector<AHRoundCoin, 4> coins;
+
+  /// This process's counter for `round`'s coin; 0 if it never flipped it.
+  std::int64_t coin(std::int64_t round) const;
 
   friend bool operator==(const AHRecord& a, const AHRecord& b) {
     return a.pref == b.pref && a.round == b.round && a.coins == b.coins;

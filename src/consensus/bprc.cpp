@@ -49,8 +49,7 @@ BPRCConsensus::BPRCConsensus(Runtime& rt, BPRCParams params, ArrowImpl arrows)
       slots_deficient_(params.space.slots < params.K + 1),
       mem_(rt, initial_record(params), arrows),
       decisions_(static_cast<std::size_t>(params.n), -1),
-      decision_rounds_(static_cast<std::size_t>(params.n), 0),
-      coin_scratch_(static_cast<std::size_t>(params.n)) {
+      decision_rounds_(static_cast<std::size_t>(params.n), 0) {
   BPRC_REQUIRE(params_.n == rt.nprocs(),
                "params sized for a different process count");
   BPRC_REQUIRE(params_.K >= 2, "the protocol requires K >= 2");
@@ -121,13 +120,12 @@ std::optional<std::int8_t> BPRCConsensus::leaders_agreement(
 }
 
 CoinValue BPRCConsensus::next_coin_value(ProcId me, const BPRCRecord& mine,
-                                         const View& view) const {
+                                         View& view) const {
   // §5 `function next_coin_value`: assemble the counter view c̄ for the
   // coin of my round r+1. My own contribution is my "next" slot; a
   // process j ahead of or tied with me by w < K contributes its slot for
   // round r+1 = r_j - w + 1; everyone else reads as withdrawn (0).
-  std::vector<std::int64_t>& counters =
-      coin_scratch_[static_cast<std::size_t>(me)];
+  std::vector<std::int64_t>& counters = view.counters;
   counters.assign(static_cast<std::size_t>(params_.n), 0);
   counters[static_cast<std::size_t>(me)] = mine.coins.next_slot();
   for (int j = 0; j < params_.n; ++j) {
@@ -148,7 +146,8 @@ CoinValue BPRCConsensus::next_coin_value(ProcId me, const BPRCRecord& mine,
 }
 
 void BPRCConsensus::do_inc(ProcId me, BPRCRecord& rec,
-                           const DistanceGraph& graph) {
+                           const DistanceGraph& graph,
+                           std::vector<int>& dists) {
   // §5 `function inc`: advance the coin pointer (recycling and zeroing the
   // K+1-rounds-old slot) and apply the guarded edge-counter increments
   // computed from the scanned graph.
@@ -173,7 +172,7 @@ void BPRCConsensus::do_inc(ProcId me, BPRCRecord& rec,
     }
   }
   rec.coins.advance();
-  inc_counters(me, graph, rec.edges, cycle_phys_);
+  inc_counters(me, graph, rec.edges, cycle_phys_, dists);
 }
 
 void BPRCConsensus::publish(ProcId me, const BPRCRecord& rec,
@@ -212,12 +211,15 @@ int BPRCConsensus::propose(int input) {
   // computed against the all-tied initial graph (this process has not yet
   // observed anyone, and from the initial state the correct move is to
   // pull one step ahead of everyone regardless of what they have done).
-  do_inc(me, rec, DistanceGraph(params_.n, params_.K));
+  View view{{},
+            DistanceGraph(params_.n, params_.K),
+            {},
+            std::vector<std::int64_t>(static_cast<std::size_t>(params_.n))};
+  do_inc(me, rec, view.graph, view.dists);
   round = 1;
   publish(me, rec, round, 0, false);
   mem_.write(rec);
 
-  View view{{}, DistanceGraph(params_.n, params_.K)};
   while (true) {
     scan_view(view);
 
@@ -234,7 +236,7 @@ int BPRCConsensus::propose(int input) {
     // Lines 3-4: adopt the leaders' agreed value and advance.
     if (const auto agreed = leaders_agreement(view)) {
       rec.pref = *agreed;
-      do_inc(me, rec, view.graph);
+      do_inc(me, rec, view.graph, view.dists);
       ++round;
       max_round_.store(
           std::max(max_round_.load(std::memory_order_relaxed), round),
@@ -269,7 +271,7 @@ int BPRCConsensus::propose(int input) {
 
     // Line 8: adopt the coin's value and advance.
     rec.pref = (cv == CoinValue::kHeads) ? kPref1 : kPref0;
-    do_inc(me, rec, view.graph);
+    do_inc(me, rec, view.graph, view.dists);
     ++round;
     max_round_.store(
         std::max(max_round_.load(std::memory_order_relaxed), round),

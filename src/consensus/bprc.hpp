@@ -76,7 +76,9 @@ struct BPRCParams {
   }
 };
 
-/// The register record of one process. All fields bounded in n.
+/// The register record of one process. All fields bounded in n, and at
+/// the usual sizes (n <= 16, <= 8 coin slots) all of them inline: a
+/// register read or write copies one fixed-size value, heap untouched.
 struct BPRCRecord {
   std::int8_t pref = kUnwritten;
   CoinSlots coins;
@@ -117,9 +119,13 @@ class BPRCConsensus final : public ConsensusProtocol {
   }
 
  private:
+  /// One proposer's scan result plus its scratch buffers, reused across
+  /// the proposer's iterations so a step allocates nothing.
   struct View {
     std::vector<BPRCRecord> recs;
     DistanceGraph graph;
+    std::vector<int> dists;             ///< inc_counters scratch
+    std::vector<std::int64_t> counters;  ///< next_coin_value scratch (n)
   };
 
   void scan_view(View& view);
@@ -127,8 +133,9 @@ class BPRCConsensus final : public ConsensusProtocol {
                             const View& view) const;
   std::optional<std::int8_t> leaders_agreement(const View& view) const;
   CoinValue next_coin_value(ProcId me, const BPRCRecord& mine,
-                            const View& view) const;
-  void do_inc(ProcId me, BPRCRecord& rec, const DistanceGraph& graph);
+                            View& view) const;
+  void do_inc(ProcId me, BPRCRecord& rec, const DistanceGraph& graph,
+              std::vector<int>& dists);
   void publish(ProcId me, const BPRCRecord& rec, std::int64_t round,
                int walk_delta, bool decided);
   void track_counter(std::int64_t c);
@@ -148,10 +155,6 @@ class BPRCConsensus final : public ConsensusProtocol {
   ScannableMemory<BPRCRecord> mem_;
   std::vector<std::int8_t> decisions_;        ///< per-process; -1 until decided
   std::vector<std::int64_t> decision_rounds_;
-  /// Per-process counter buffer for next_coin_value (indexed by caller, so
-  /// concurrent proposers never share); mutable because the evaluation is
-  /// logically const.
-  mutable std::vector<std::vector<std::int64_t>> coin_scratch_;
   std::atomic<std::uint64_t> flips_{0};
   std::atomic<std::uint64_t> scans_{0};
   std::atomic<std::int64_t> max_round_{0};

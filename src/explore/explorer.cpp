@@ -596,6 +596,7 @@ class Explorer final : public FlipTape, public TraceSink {
     // deterministic functions of the writer's local history, so equal
     // histories + equal last-writer identities imply equal contents —
     // no hashing of arbitrary value types needed.
+    if (past_frontier()) return;
     auto& h = proc_hash_[static_cast<std::size_t>(p)];
     h = fnv_mix(h, 0x52);
     h = fnv_mix(h, static_cast<std::uint64_t>(object));
@@ -603,6 +604,7 @@ class Explorer final : public FlipTape, public TraceSink {
   }
 
   void on_write(ProcId p, int object) override {
+    if (past_frontier()) return;
     auto& h = proc_hash_[static_cast<std::size_t>(p)];
     h = fnv_mix(h, 0x57);
     h = fnv_mix(h, static_cast<std::uint64_t>(object));
@@ -623,6 +625,13 @@ class Explorer final : public FlipTape, public TraceSink {
  private:
   enum : std::uint64_t { kDigestRunEnd = 0xE0D };
   enum class Mode { kInline, kBatched, kIsolate };
+
+  /// True once this execution has reached the branching depth. Depth
+  /// only grows within an execution and fingerprints are taken only at
+  /// frontier nodes, so the tail's reads and writes need no hashing.
+  bool past_frontier() const {
+    return exec_schedule_.size() >= limits_.branch_depth;
+  }
 
   std::uint64_t runnable_set(const SimCtl& ctl) const {
     if (const std::uint64_t* mask = ctl.runnable_mask()) return *mask;
@@ -764,7 +773,7 @@ class Explorer final : public FlipTape, public TraceSink {
   /// here, which is what makes jobs levels byte-identical: the serial
   /// path delivers inline, the batched path from the engine's ordered
   /// sink, the isolated path after each fork.
-  void deliver(const LeafSpec& spec, LeafOutcome&& out) {
+  void deliver(const LeafSpec& spec, LeafOutcome& out) {
     for (const std::uint8_t b : out.events) {
       stats_.schedule_digest = fnv_mix(stats_.schedule_digest, b);
     }
@@ -819,7 +828,8 @@ class Explorer final : public FlipTape, public TraceSink {
         out.violation = instance_->check(*runtime_, run, out.complete);
       }
       instance_.reset();  // destroy shared state before the next reset()
-      deliver(spec, std::move(out));
+      deliver(spec, out);
+      exec_events_ = std::move(out.events);  // keep the buffer's capacity
       return;
     }
 
@@ -950,7 +960,7 @@ class Explorer final : public FlipTape, public TraceSink {
       out.pruned = rep.pruned;
       out.complete = rep.complete;
       out.violation = std::move(rep.violation);
-      deliver(spec, std::move(out));
+      deliver(spec, out);
       return;
     }
 
@@ -994,7 +1004,7 @@ class Explorer final : public FlipTape, public TraceSink {
     stats_.max_trail_depth =
         std::max(stats_.max_trail_depth,
                  static_cast<std::uint64_t>(trail_.size()));
-    deliver(spec, std::move(out));
+    deliver(spec, out);
   }
 
   /// Child side of execute_isolated: run + grade inline, report the DFS
@@ -1080,7 +1090,7 @@ class Explorer final : public FlipTape, public TraceSink {
           return grade_leaf(target_, limits_, seed_, spec, reuse);
         },
         [this](std::size_t, const LeafSpec& spec, LeafOutcome&& out) {
-          deliver(spec, std::move(out));
+          deliver(spec, out);
           if (violations_.size() >= limits_.max_violations) {
             // Stop after a deterministic prefix — same cutoff the serial
             // loop applies. Enumeration-side counters may have run a

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 namespace bprc {
 
@@ -32,11 +31,14 @@ struct Toggled {
   }
 };
 
-/// Produces the successor entry for a new write: payload replaced, toggle
-/// flipped, ghost index advanced.
+/// Turns `entry` into its successor for a new write, in place: payload
+/// replaced, toggle flipped, ghost index advanced. In place so a writer
+/// can keep its last entry and never build a temporary record.
 template <class T>
-Toggled<T> next_toggled(const Toggled<T>& prev, T value) {
-  return Toggled<T>{std::move(value), !prev.toggle, prev.ghost_index + 1};
+void advance_toggled(Toggled<T>& entry, const T& value) {
+  entry.value = value;
+  entry.toggle = !entry.toggle;
+  ++entry.ghost_index;
 }
 
 }  // namespace bprc

@@ -1,7 +1,9 @@
 #include "runtime/adversary.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -10,12 +12,12 @@ namespace bprc {
 namespace {
 
 // The pick() implementations below run once per simulated step — the
-// hottest loop in the repository. They are written as count-then-select
-// passes over SimCtl::view() precisely so they allocate nothing: counting
-// the candidates, drawing below(count), then scanning to the k-th
-// candidate makes the same rng draws and returns the same process as the
-// historical "collect ids into a vector, index it" code (candidates are
-// always enumerated in id order). Recorded schedules are bit-identical.
+// hottest loop in the repository. After an adversary's first pick they
+// allocate nothing: counting the candidates, drawing below(count), then
+// taking the k-th candidate makes the same rng draws and returns the same
+// process as the historical "collect ids into a vector, index it" code
+// (candidates are always enumerated in id order). Recorded schedules are
+// bit-identical.
 
 /// Number of runnable processes.
 int runnable_count(const SimCtl& ctl) {
@@ -45,6 +47,16 @@ ProcId nth_runnable(const SimCtl& ctl, std::uint64_t k) {
   }
   BPRC_REQUIRE(false, "runnable rank out of range");
   __builtin_unreachable();
+}
+
+/// The candidate buffer of a pick over `lists` filtered candidate sets of
+/// an n-process simulation: list i is gathered, in id order, into slots
+/// [i*n, (i+1)*n). The buffer is a member of the adversary, sized on its
+/// first pick and reused by every later one.
+ProcId* candidate_lists(std::vector<ProcId>& buf, int n, int lists) {
+  const auto need = static_cast<std::size_t>(n) * static_cast<std::size_t>(lists);
+  if (buf.size() < need) buf.resize(need);
+  return buf.data();
 }
 
 /// Uniform pick over the runnable set; -1 (no draw) when it is empty.
@@ -116,31 +128,23 @@ int LockstepAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId LeaderSuppressAdversary::pick(SimCtl& ctl) {
+  // One pass: gather the runnable processes at the lowest round seen so
+  // far, restarting whenever a lower round shows up.
   const int n = ctl.nprocs();
-  std::int32_t min_round = 0;
-  bool any = false;
-  for (ProcId p = 0; p < n; ++p) {
-    if (!ctl.view(p).runnable) continue;
-    const std::int32_t round = ctl.view(p).hint.round;
-    min_round = any ? std::min(min_round, round) : round;
-    any = true;
-  }
-  if (!any) return -1;
+  ProcId* ids = candidate_lists(ids_, n, 1);
   int laggards = 0;
+  std::int32_t min_round = 0;
   for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && ctl.view(p).hint.round == min_round) {
-      ++laggards;
+    const SimCtl::ProcView& v = ctl.view(p);
+    if (!v.runnable) continue;
+    if (laggards == 0 || v.hint.round < min_round) {
+      min_round = v.hint.round;
+      laggards = 0;
     }
+    if (v.hint.round == min_round) ids[laggards++] = p;
   }
-  std::uint64_t k = rng_.below(static_cast<std::uint64_t>(laggards));
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && ctl.view(p).hint.round == min_round &&
-        k-- == 0) {
-      return p;
-    }
-  }
-  BPRC_REQUIRE(false, "laggard rank out of range");
-  __builtin_unreachable();
+  if (laggards == 0) return -1;
+  return ids[rng_.below(static_cast<std::uint64_t>(laggards))];
 }
 
 int LeaderSuppressAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -150,34 +154,29 @@ int LeaderSuppressAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId CoinBiasAdversary::pick(SimCtl& ctl) {
+  // One pass: the adversary's view of the walk (the sum of the counters
+  // the processes have published — it has seen every local flip already
+  // performed), and the runnable processes bucketed by the sign of their
+  // pending walk step (0: down, 1: no step, 2: up).
   const int n = ctl.nprocs();
-  if (runnable_count(ctl) == 0) return -1;
-
-  // Adversary's view of the walk: the sum of the counters the processes
-  // have published (it has seen every local flip already performed).
+  ProcId* ids = candidate_lists(ids_, n, 3);
+  std::array<int, 3> counts{};
   std::int64_t walk = 0;
   for (ProcId p = 0; p < n; ++p) {
-    walk += ctl.view(p).hint.counter;
+    const SimCtl::ProcView& v = ctl.view(p);
+    walk += v.hint.counter;
+    if (!v.runnable) continue;
+    const int delta = v.hint.walk_delta;
+    const int b = (delta > 0) - (delta < 0) + 1;
+    ids[b * n + counts[b]++] = p;
   }
 
   // Prefer a process whose pending counter write pulls the walk toward 0;
   // when the walk sits at 0, stall progress by preferring non-walk steps.
-  const auto preferred = [&](ProcId p) {
-    const int delta = ctl.view(p).hint.walk_delta;
-    return walk != 0 ? (static_cast<std::int64_t>(delta) * walk < 0)
-                     : (delta == 0);
-  };
-  int count = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && preferred(p)) ++count;
-  }
-  if (count == 0) return pick_uniform_runnable(ctl, rng_);
-  std::uint64_t k = rng_.below(static_cast<std::uint64_t>(count));
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && preferred(p) && k-- == 0) return p;
-  }
-  BPRC_REQUIRE(false, "preferred rank out of range");
-  __builtin_unreachable();
+  const int want = walk > 0 ? 0 : walk < 0 ? 2 : 1;
+  if (counts[want] == 0) return pick_uniform_runnable(ctl, rng_);
+  return ids[want * n + static_cast<int>(rng_.below(
+                            static_cast<std::uint64_t>(counts[want])))];
 }
 
 int CoinBiasAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -317,40 +316,34 @@ int CrashStormAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId SplitBrainAdversary::pick(SimCtl& ctl) {
+  // One pass: the runnable processes in id order. Group 0 is ids below
+  // `half`, so its members come first and group 1's follow them.
   const int n = ctl.nprocs();
   const int half = std::max(1, n / 2);
-  const auto in_group = [&](ProcId p, int g) {
-    return ctl.view(p).runnable && ((p < half) ? 0 : 1) == g;
-  };
-  auto group_count = [&](int g) {
-    int count = 0;
-    for (ProcId p = 0; p < n; ++p) {
-      if (in_group(p, g)) ++count;
-    }
-    return count;
-  };
+  ProcId* ids = candidate_lists(ids_, n, 1);
+  std::array<int, 2> counts{};
+  for (ProcId p = 0; p < n; ++p) {
+    if (!ctl.view(p).runnable) continue;
+    ids[counts[0] + counts[1]] = p;
+    ++counts[p < half ? 0 : 1];
+  }
 
-  int count = group_count(group_);
-  if (remaining_ == 0 || count == 0) {
+  if (remaining_ == 0 || counts[group_] == 0) {
     group_ = 1 - group_;
     // Burst length in [mean/2, 2*mean): long enough that a burst spans
     // many protocol rounds of the solo group.
     remaining_ = mean_burst_ / 2 +
                  rng_.below(mean_burst_ + std::max<std::uint64_t>(mean_burst_ / 2, 1));
-    count = group_count(group_);
-    if (count == 0) {
+    if (counts[group_] == 0) {
       // Other group is dead too — fall back to whoever is left.
       if (remaining_ > 0) --remaining_;
       return pick_uniform_runnable(ctl, rng_);
     }
   }
   if (remaining_ > 0) --remaining_;
-  std::uint64_t k = rng_.below(static_cast<std::uint64_t>(count));
-  for (ProcId p = 0; p < n; ++p) {
-    if (in_group(p, group_) && k-- == 0) return p;
-  }
-  BPRC_REQUIRE(false, "group rank out of range");
-  __builtin_unreachable();
+  const int first = group_ == 0 ? 0 : counts[0];
+  return ids[first + static_cast<int>(rng_.below(
+                         static_cast<std::uint64_t>(counts[group_])))];
 }
 
 int SplitBrainAdversary::resolve_read(SimCtl& ctl, const StaleRead& sr) {

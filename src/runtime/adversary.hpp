@@ -149,6 +149,7 @@ class LeaderSuppressAdversary final : public Adversary {
 
  private:
   Rng rng_;
+  std::vector<ProcId> ids_;  ///< pick candidates, reused across picks
 };
 
 /// Adaptive: attacks the shared coin. Among runnable processes it prefers
@@ -165,6 +166,7 @@ class CoinBiasAdversary final : public Adversary {
 
  private:
   Rng rng_;
+  std::vector<ProcId> ids_;  ///< pick candidates, reused across picks
 };
 
 /// Replays a fixed schedule (one ProcId per step), then falls back to
@@ -302,6 +304,7 @@ class SplitBrainAdversary final : public Adversary {
   std::uint64_t mean_burst_;
   int group_ = 0;              ///< group currently being run solo
   std::uint64_t remaining_ = 0; ///< picks left in the current burst
+  std::vector<ProcId> ids_;     ///< pick candidates, reused across picks
 };
 
 /// All adversaries used by the integration test matrix, freshly seeded.

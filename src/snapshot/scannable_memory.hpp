@@ -86,10 +86,11 @@ class ScannableMemory {
     for (ProcId i = 0; i < n_; ++i) {
       if (i != me) arrow_write(i, me, true);
     }
-    const Toggled<T> entry =
-        next_toggled(last_written_[static_cast<std::size_t>(me)], v);
+    // The successor entry is built in the writer's shadow copy, which
+    // only the writer itself reads: no temporary record.
+    Toggled<T>& entry = last_written_[static_cast<std::size_t>(me)];
+    advance_toggled(entry, v);
     values_[static_cast<std::size_t>(me)]->write(entry, payload);
-    last_written_[static_cast<std::size_t>(me)] = entry;
     const std::uint64_t res = rt_.now();
     if (recorder_ != nullptr) {
       const std::scoped_lock lock(rec_mu_);

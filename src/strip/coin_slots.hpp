@@ -21,15 +21,20 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "util/assert.hpp"
+#include "util/small_vector.hpp"
 
 namespace bprc {
 
 struct CoinSlots {
-  int current = 0;                     ///< current_coin pointer ∈ {0..K}
-  std::vector<std::int64_t> slots;     ///< K+1 bounded walk counters
+  /// Inline ring capacity: the paper's K+1 = 3 slots and every in-repo
+  /// budget (at most 5) fit; larger SpaceBudget rings spill to the heap.
+  static constexpr std::size_t kInlineSlots = 8;
+  using Slots = SmallVector<std::int64_t, kInlineSlots>;
+
+  int current = 0;  ///< current_coin pointer ∈ {0..K}
+  Slots slots;      ///< K+1 bounded walk counters
 
   CoinSlots() = default;
   explicit CoinSlots(int K)

@@ -65,11 +65,17 @@ int DistanceGraph::dist(int i, int j) const {
 }
 
 std::vector<int> DistanceGraph::all_dists() const {
+  std::vector<int> d;
+  all_dists_into(d);
+  return d;
+}
+
+void DistanceGraph::all_dists_into(std::vector<int>& d) const {
   // Max-plus Floyd–Warshall over the edge weights. No positive cycles
   // (property 2), so simple-path maxima equal walk maxima and the closure
   // is well-defined. n is small (≤ 64); O(n³) is fine at this call rate.
   const std::size_t n = static_cast<std::size_t>(n_);
-  std::vector<int> d(n * n, kNoPath);
+  d.assign(n * n, kNoPath);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
       const std::int8_t s = s_[a * n + b];
@@ -91,7 +97,6 @@ std::vector<int> DistanceGraph::all_dists() const {
       }
     }
   }
-  return d;
 }
 
 bool DistanceGraph::edge_is_tight(int i, int j) const {

@@ -66,6 +66,9 @@ class DistanceGraph {
   /// All-pairs max-weight path values (row-major n×n, −1 = no path): one
   /// Floyd–Warshall instead of n of them — the hot path of inc().
   std::vector<int> all_dists() const;
+  /// all_dists() into a caller buffer (resized to n×n; no allocation once
+  /// it has held an n×n matrix).
+  void all_dists_into(std::vector<int>& d) const;
 
   /// True iff the direct edge (i,j) attains dist(i,j) — the paper's
   /// "∃k: (i,j) ∈ max_paths(k,j)" condition.

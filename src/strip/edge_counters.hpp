@@ -29,12 +29,14 @@
 
 #include "strip/distance_graph.hpp"
 #include "util/assert.hpp"
+#include "util/small_vector.hpp"
 
 namespace bprc {
 
 /// One process's row of edge counters: entry j is e_self[j] ∈ {0..3K−1}.
-/// Entry self is unused and stays 0.
-using EdgeCounters = std::vector<std::uint8_t>;
+/// Entry self is unused and stays 0. Inline up to n = 16 (every process
+/// count the benches use); wider rows spill to the heap.
+using EdgeCounters = SmallVector<std::uint8_t, 16>;
 
 /// The cycle the paper pays for at strip constant K (see the header
 /// comment for why it is 3K and not the information-theoretic 2K+1).
@@ -103,12 +105,15 @@ inline DistanceGraph make_graph(const std::vector<EdgeCounters>& rows,
 ///   * j leads i along a tight edge (close the gap).
 /// `g` must be the graph decoded from the same snapshot as `row` (process
 /// i's own row, which only i writes, so its local copy is current).
+/// `dists` is caller scratch for the all-pairs path values, reused across
+/// calls so a round's increment allocates nothing.
 inline void inc_counters(int i, const DistanceGraph& g, EdgeCounters& row,
-                         int cycle) {
+                         int cycle, std::vector<int>& dists) {
   const int K = g.K();
   BPRC_REQUIRE(cycle > 2 * K, "edge cycle must exceed 2K to increment");
   const int n = g.nprocs();
-  const std::vector<int> d = g.all_dists();  // one FW for all tight checks
+  g.all_dists_into(dists);  // one FW for all tight checks
+  const std::vector<int>& d = dists;
   for (int j = 0; j < n; ++j) {
     if (j == i) continue;
     const int s = g.signed_diff(i, j);
@@ -122,6 +127,12 @@ inline void inc_counters(int i, const DistanceGraph& g, EdgeCounters& row,
       e = static_cast<std::uint8_t>((e + 1) % cycle);
     }
   }
+}
+
+inline void inc_counters(int i, const DistanceGraph& g, EdgeCounters& row,
+                         int cycle) {
+  std::vector<int> dists;
+  inc_counters(i, g, row, cycle, dists);
 }
 
 inline void inc_counters(int i, const DistanceGraph& g, EdgeCounters& row) {

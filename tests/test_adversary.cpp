@@ -10,6 +10,7 @@
 
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
+#include "util/rng.hpp"
 
 namespace bprc {
 namespace {
@@ -216,6 +217,136 @@ TEST(Recording, ReplayReproducesTheSchedule) {
   }
   rt2.run(1000);
   EXPECT_EQ(trace1, trace2);
+}
+
+/// A SimCtl over hand-set views, with no fast view array or runnable mask,
+/// so the adversaries take the same path they take above 64 processes.
+class FakeCtl final : public SimCtl {
+ public:
+  explicit FakeCtl(int n) : views(static_cast<std::size_t>(n)) {}
+  int nprocs() const override { return static_cast<int>(views.size()); }
+  const ProcView& proc(ProcId p) const override {
+    return views[static_cast<std::size_t>(p)];
+  }
+  std::uint64_t step() const override { return 0; }
+  void crash(ProcId) override { ADD_FAILURE() << "unexpected crash"; }
+
+  std::vector<ProcView> views;
+};
+
+/// Fills the views with random runnable flags, rounds and walk hints. The
+/// runnable density varies per call, so some calls leave no process, or
+/// one whole half of the processes, runnable.
+void randomize(FakeCtl& ctl, Rng& rng) {
+  const int n = ctl.nprocs();
+  const std::uint64_t density = rng.below(5);  // runnable w.p. density/4
+  const std::uint64_t dead_half = rng.below(4);  // 0/1: that half dead
+  for (ProcId p = 0; p < n; ++p) {
+    SimCtl::ProcView& v = ctl.views[static_cast<std::size_t>(p)];
+    const int half = p < std::max(1, n / 2) ? 0 : 1;
+    v.runnable = rng.below(4) < density &&
+                 !(dead_half < 2 && static_cast<int>(dead_half) == half);
+    v.hint.round = static_cast<std::int32_t>(rng.below(3));
+    v.hint.walk_delta = static_cast<std::int8_t>(rng.below(3)) - 1;
+    v.hint.counter = static_cast<std::int64_t>(rng.below(5)) - 2;
+  }
+}
+
+/// Reference picks: collect the candidates in id order, index with one
+/// draw. These are the adversaries' definitions; the real pick()s must
+/// make the same draws and return the same processes.
+ProcId ref_index(const std::vector<ProcId>& ids, Rng& rng) {
+  if (ids.empty()) return -1;
+  return ids[rng.below(ids.size())];
+}
+
+std::vector<ProcId> runnable_ids(const FakeCtl& ctl) {
+  std::vector<ProcId> ids;
+  for (ProcId p = 0; p < ctl.nprocs(); ++p) {
+    if (ctl.view(p).runnable) ids.push_back(p);
+  }
+  return ids;
+}
+
+ProcId ref_leader_suppress(const FakeCtl& ctl, Rng& rng) {
+  const std::vector<ProcId> runnable = runnable_ids(ctl);
+  if (runnable.empty()) return -1;
+  std::int32_t min_round = ctl.view(runnable[0]).hint.round;
+  for (const ProcId p : runnable) {
+    min_round = std::min(min_round, ctl.view(p).hint.round);
+  }
+  std::vector<ProcId> laggards;
+  for (const ProcId p : runnable) {
+    if (ctl.view(p).hint.round == min_round) laggards.push_back(p);
+  }
+  return ref_index(laggards, rng);
+}
+
+ProcId ref_coin_bias(const FakeCtl& ctl, Rng& rng) {
+  const std::vector<ProcId> runnable = runnable_ids(ctl);
+  if (runnable.empty()) return -1;
+  std::int64_t walk = 0;
+  for (ProcId p = 0; p < ctl.nprocs(); ++p) walk += ctl.view(p).hint.counter;
+  std::vector<ProcId> preferred;
+  for (const ProcId p : runnable) {
+    const std::int64_t delta = ctl.view(p).hint.walk_delta;
+    if (walk != 0 ? delta * walk < 0 : delta == 0) preferred.push_back(p);
+  }
+  if (preferred.empty()) return ref_index(runnable, rng);
+  return ref_index(preferred, rng);
+}
+
+struct RefSplitBrain {
+  std::uint64_t mean_burst;
+  int group = 0;
+  std::uint64_t remaining = 0;
+
+  ProcId pick(const FakeCtl& ctl, Rng& rng) {
+    const int half = std::max(1, ctl.nprocs() / 2);
+    auto members = [&](int g) {
+      std::vector<ProcId> ids;
+      for (const ProcId p : runnable_ids(ctl)) {
+        if ((p < half ? 0 : 1) == g) ids.push_back(p);
+      }
+      return ids;
+    };
+    std::vector<ProcId> ids = members(group);
+    if (remaining == 0 || ids.empty()) {
+      group = 1 - group;
+      remaining = mean_burst / 2 +
+                  rng.below(mean_burst + std::max<std::uint64_t>(mean_burst / 2, 1));
+      ids = members(group);
+      if (ids.empty()) {
+        if (remaining > 0) --remaining;
+        return ref_index(runnable_ids(ctl), rng);
+      }
+    }
+    if (remaining > 0) --remaining;
+    return ref_index(ids, rng);
+  }
+};
+
+TEST(AdaptivePicks, MatchCollectAndIndexReferenceAtEverySize) {
+  constexpr std::uint64_t kSeed = 41;
+  constexpr std::uint64_t kBurst = 6;
+  for (const int n : {1, 2, 5, 64, 65, 70, 130}) {
+    FakeCtl ctl(n);
+    Rng views_rng(static_cast<std::uint64_t>(n));
+    LeaderSuppressAdversary leader(kSeed);
+    CoinBiasAdversary coin(kSeed);
+    SplitBrainAdversary split(kSeed, kBurst);
+    Rng leader_rng(kSeed), coin_rng(kSeed), split_rng(kSeed);
+    RefSplitBrain split_ref{kBurst};
+    for (int i = 0; i < 3000; ++i) {
+      randomize(ctl, views_rng);
+      ASSERT_EQ(leader.pick(ctl), ref_leader_suppress(ctl, leader_rng))
+          << "leader-suppress n=" << n << " pick " << i;
+      ASSERT_EQ(coin.pick(ctl), ref_coin_bias(ctl, coin_rng))
+          << "coin-bias n=" << n << " pick " << i;
+      ASSERT_EQ(split.pick(ctl), split_ref.pick(ctl, split_rng))
+          << "split-brain n=" << n << " pick " << i;
+    }
+  }
 }
 
 TEST(StandardAdversaries, ProvidesTheFullSuite) {

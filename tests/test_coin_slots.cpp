@@ -2,8 +2,6 @@
 // recycling/withdrawal, and the trailing-reader addressing rule.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "strip/coin_slots.hpp"
 
 namespace bprc {
@@ -13,7 +11,7 @@ TEST(CoinSlots, InitialState) {
   const CoinSlots cs(2);
   EXPECT_EQ(cs.K(), 2);
   EXPECT_EQ(cs.current, 0);
-  EXPECT_EQ(cs.slots, (std::vector<std::int64_t>{0, 0, 0}));
+  EXPECT_EQ(cs.slots, (CoinSlots::Slots{0, 0, 0}));
   EXPECT_EQ(cs.next_index(), 1);
 }
 

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "consensus/bprc.hpp"
 #include "consensus/driver.hpp"
+#include "engine/trial.hpp"
+#include "fault/campaign.hpp"
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
 
@@ -267,6 +271,46 @@ TEST(BPRC, ExhaustiveSchedulePrefixes_N3) {
     }
   };
   rec();
+}
+
+TEST(BPRC, OversizedRecordsKeepPinnedDigests) {
+  // Register records past the inline capacities of their small-buffer
+  // fields: n=17 edge counters (inline up to 16) and a 9-slot coin ring
+  // (inline up to 8). Both spill to the heap; their outcome digests were
+  // captured from the all-heap record layout and must never move.
+  struct Pinned {
+    int n;
+    const char* space;
+    const char* adversary;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Pinned cases[] = {
+      {17, "", "random", 1701, 0x38d7aca6089f2447ULL},
+      {17, "", "coin-bias", 1702, 0x84aafdb7f052e751ULL},
+      {3, "slots=9", "coin-bias", 903, 0xf87436f5d7ec6bbfULL},
+      {5, "slots=9", "random", 905, 0x2eaa84dee70c2abeULL},
+      {17, "slots=9", "random", 1709, 0x88dc2cf4982309caULL},
+  };
+  for (const Pinned& c : cases) {
+    fault::TortureRun run;
+    run.protocol = "bprc";
+    for (int p = 0; p < c.n; ++p) run.inputs.push_back(p % 2);
+    run.adversary = c.adversary;
+    run.seed = c.seed;
+    run.max_steps = 20'000'000;
+    std::string err;
+    const auto space = SpaceBudget::parse(c.space, &err);
+    ASSERT_TRUE(space.has_value()) << err;
+    run.space = *space;
+    const engine::TrialOutcome out = engine::run_trial(
+        fault::to_trial_spec(run, std::chrono::nanoseconds::zero()));
+    EXPECT_TRUE(out.result.ok()) << c.n << " " << c.space;
+    EXPECT_EQ(fault::outcome_digest(out), c.digest)
+        << "n=" << c.n << " space='" << c.space << "' " << c.adversary
+        << " steps=" << out.result.total_steps << std::hex << " digest=0x"
+        << fault::outcome_digest(out);
+  }
 }
 
 TEST(BPRC, ProposeRejectsNonBitInput) {

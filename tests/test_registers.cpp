@@ -59,10 +59,12 @@ TEST(MRMW, AnyProcessMayWrite) {
 }
 
 TEST(Toggled, ConsecutiveWritesAlwaysDiffer) {
-  Toggled<int> a{7, false, 0};
-  const auto b = next_toggled(a, 7);  // same payload
-  EXPECT_NE(a, b);                    // toggle bit separates them
-  const auto c = next_toggled(b, 7);
+  const Toggled<int> a{7, false, 0};
+  Toggled<int> b = a;
+  advance_toggled(b, 7);  // same payload
+  EXPECT_NE(a, b);        // toggle bit separates them
+  Toggled<int> c = b;
+  advance_toggled(c, 7);
   EXPECT_NE(b, c);
   EXPECT_EQ(a.toggle, c.toggle);
   EXPECT_EQ(c.ghost_index, 2u);

@@ -1,11 +1,16 @@
-// Unit tests for src/util: PRNG, statistics, table rendering, env knobs.
+// Unit tests for src/util: PRNG, statistics, table rendering, env knobs,
+// the small-buffer vector.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/env.hpp"
 #include "util/rng.hpp"
+#include "util/small_vector.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -238,6 +243,76 @@ TEST(Env, UnparseableValueAborts) {
   setenv("BPRC_TEST_ENV_INT", "999999999999999999999", 1);  // out of range
   EXPECT_DEATH(env_int("BPRC_TEST_ENV_INT", 5), "not a valid integer");
   unsetenv("BPRC_TEST_ENV_INT");
+}
+
+using SmallVec4 = SmallVector<std::int64_t, 4>;
+
+std::vector<std::int64_t> items(const SmallVec4& v) {
+  return {v.begin(), v.end()};
+}
+
+TEST(SmallVector, InlineValueSemantics) {
+  SmallVec4 a(3, 7);
+  EXPECT_EQ(a.size(), 3u);
+  EXPECT_EQ(a.capacity(), 4u);
+  EXPECT_EQ(items(a), (std::vector<std::int64_t>{7, 7, 7}));
+  SmallVec4 b = a;
+  b[1] = 8;
+  EXPECT_EQ(items(a), (std::vector<std::int64_t>{7, 7, 7}));
+  EXPECT_FALSE(a == b);
+  b = a;
+  EXPECT_EQ(a, b);
+  b = {1, 2};
+  EXPECT_EQ(items(b), (std::vector<std::int64_t>{1, 2}));
+  EXPECT_FALSE(a == b);  // sizes differ
+}
+
+TEST(SmallVector, SpillsPastInlineCapacityAndKeepsItsBlock) {
+  SmallVec4 big;
+  for (std::int64_t i = 0; i < 9; ++i) big.push_back(i);
+  EXPECT_EQ(big.size(), 9u);
+  EXPECT_GE(big.capacity(), 9u);
+  for (std::int64_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(big[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(big.back(), 8);
+
+  // A spilled destination keeps its block for smaller sources.
+  SmallVec4 dst = big;
+  const std::int64_t* block = dst.data();
+  const std::size_t cap = dst.capacity();
+  const SmallVec4 two{5, 6};
+  dst = two;
+  EXPECT_EQ(dst.data(), block);
+  EXPECT_EQ(dst.capacity(), cap);
+  EXPECT_EQ(items(dst), (std::vector<std::int64_t>{5, 6}));
+  dst = big;
+  EXPECT_EQ(dst.data(), block);
+  EXPECT_EQ(dst, big);
+
+  // An inline destination takes a spilled source by growing.
+  SmallVec4 small(2, 1);
+  small = big;
+  EXPECT_EQ(small, big);
+  small.assign(12, 3);
+  EXPECT_EQ(small.size(), 12u);
+  EXPECT_EQ(small[11], 3);
+}
+
+TEST(SmallVector, MoveStealsTheBlockAndEmptiesTheSource) {
+  SmallVec4 big(10, 4);
+  const std::int64_t* block = big.data();
+  SmallVec4 moved = std::move(big);
+  EXPECT_EQ(moved.data(), block);
+  EXPECT_EQ(moved.size(), 10u);
+  EXPECT_TRUE(big.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(big.capacity(), 4u);
+
+  SmallVec4 inline_src{1, 2, 3};
+  SmallVec4 target(10, 0);
+  target = std::move(inline_src);
+  EXPECT_EQ(items(target), (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(target.capacity(), 4u);
 }
 
 }  // namespace
