@@ -4,16 +4,23 @@
 // schedule must still reproduce the original violation class.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "explore/frontier.hpp"
 #include "fault/campaign.hpp"
 #include "fault/protocols.hpp"
 #include "fault/repro.hpp"
 #include "fault/shrink.hpp"
+#include "shard/wire.hpp"
+#include "verify/weakmem/recorder.hpp"
 
 namespace bprc::fault {
 namespace {
@@ -696,29 +703,76 @@ TEST(Repro, MalformedSpaceLinesAreRejected) {
   }
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Parses `original` with the codec its extension names and
+/// re-serializes it; nullopt + `err` when the parse fails.
+std::optional<std::string> reserialize(const std::filesystem::path& path,
+                                       const std::string& original,
+                                       std::string* err) {
+  const std::string ext = path.extension().string();
+  if (ext == ".bprc-repro") {
+    const auto repro = parse_repro(original, err);
+    if (!repro.has_value()) return std::nullopt;
+    // The repro fixtures predate the space lane: none carries a budget.
+    EXPECT_TRUE(repro->run.space.is_default()) << path;
+    return serialize_repro(*repro);
+  }
+  if (ext == ".bprc-shard") {
+    const auto shard = shard::parse_shard_file(original, err);
+    if (!shard.has_value()) return std::nullopt;
+    return shard::serialize_shard_file(*shard);
+  }
+  if (ext == ".bprc-frontier") {
+    const auto frontier = explore::parse_frontier(original, err);
+    if (!frontier.has_value()) return std::nullopt;
+    return explore::serialize_frontier(*frontier);
+  }
+  if (ext == ".bprc-weakmem") {
+    const auto rec = weakmem::load_recording(path.string());
+    if (!rec.has_value()) {
+      *err = "load_recording failed";
+      return std::nullopt;
+    }
+    const std::string copy =
+        testing::TempDir() + "reserialize-" + path.filename().string();
+    if (!weakmem::save_recording(*rec, copy)) {
+      *err = "save_recording failed";
+      return std::nullopt;
+    }
+    std::string text = read_bytes(copy);
+    std::remove(copy.c_str());
+    return text;
+  }
+  *err = "no codec for extension " + ext;
+  return std::nullopt;
+}
+
 TEST(Repro, SavedArtifactsReserializeByteIdentically) {
-  // The committed fixtures predate the space lane (and the weak-register
-  // lane before it): parsing and re-serializing them must reproduce their
-  // bytes exactly, proving the new optional lines cost old artifacts
-  // nothing.
-  const std::string dir = BPRC_TEST_DATA_DIR;
-  const char* fixtures[] = {
-      "broken-racy-round-robin-n2-0.bprc-repro",
-      "broken-racy-crash-storm-n3-0.bprc-repro",
-      "broken-racy-crash-storm-n3-1.bprc-repro",
-      "broken-racy-crash-n3.bprc-repro",
-  };
-  for (const char* name : fixtures) {
-    std::ifstream in(dir + "/" + name, std::ios::binary);
-    ASSERT_TRUE(in.good()) << name;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string original = buf.str();
+  // Every committed fixture — the historical repros, which predate the
+  // weak-register and space lanes, plus one shard, frontier and weakmem
+  // file each written by an earlier build — must parse and re-serialize
+  // to its exact bytes: new optional lines cost old artifacts nothing,
+  // and a codec change that moves a byte fails here.
+  std::vector<std::filesystem::path> fixtures;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(BPRC_TEST_DATA_DIR)) {
+    if (entry.is_regular_file()) fixtures.push_back(entry.path());
+  }
+  std::sort(fixtures.begin(), fixtures.end());
+  ASSERT_GE(fixtures.size(), 8u);
+  for (const auto& path : fixtures) {
+    const std::string original = read_bytes(path.string());
+    ASSERT_FALSE(original.empty()) << path;
     std::string err;
-    const auto repro = parse_repro(original, &err);
-    ASSERT_TRUE(repro.has_value()) << name << ": " << err;
-    EXPECT_TRUE(repro->run.space.is_default()) << name;
-    EXPECT_EQ(serialize_repro(*repro), original) << name;
+    const auto text = reserialize(path, original, &err);
+    ASSERT_TRUE(text.has_value()) << path << ": " << err;
+    EXPECT_EQ(*text, original) << path;
   }
 }
 
