@@ -21,6 +21,7 @@
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "util/assert.hpp"
+#include "util/record_text.hpp"
 
 namespace bprc::explore {
 
@@ -60,25 +61,8 @@ class ExploreShim final : public Adversary {
   Explorer& explorer_;
 };
 
-/// One choice point on the DFS trail. Schedule nodes branch over runnable
-/// processes; coin nodes branch a local flip over {false, true}; stale
-/// nodes (weakened register semantics) branch an overlapping read over
-/// every servable value [0, stale_options).
-struct Node {
-  bool is_coin = false;
-  bool coin_value = false;  ///< current branch of a coin node
-  bool is_stale = false;
-  int stale_value = 0;      ///< current branch of a stale node
-  int stale_options = 0;    ///< choice count recorded at creation
-  ProcId chosen = -1;       ///< current branch of a schedule node
-  int taken = 0;            ///< branches explored so far (stats)
-  std::uint64_t candidates = 0;  ///< runnable set at this point
-  /// Working sleep set: entry sleep plus already-explored siblings. A
-  /// candidate in here commutes with some explored branch — its subtree
-  /// is a permutation of one already visited.
-  std::uint64_t sleep = 0;
-  std::vector<OpDesc> ops;  ///< pending op per process (dependence check)
-};
+/// One choice point on the DFS trail — exactly what a frontier saves.
+using Node = FrontierNode;
 
 /// Bounded handoff between the enumerating coordinator and the grading
 /// pump (the TrialExecutor's generator pops from here). Backpressure on
@@ -133,25 +117,11 @@ class LeafQueue {
 
 // --- pipe wire helpers for the isolated (fork-per-execution) mode ---
 
-void pipe_write(int fd, const void* data, std::size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t w = ::write(fd, p, len);
-    if (w <= 0) _exit(3);  // parent treats a short report as a crash
-    p += w;
-    len -= static_cast<std::size_t>(w);
-  }
-}
+using record::read_all;
 
-bool pipe_read(int fd, void* data, std::size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    const ssize_t r = ::read(fd, p, len);
-    if (r <= 0) return false;
-    p += r;
-    len -= static_cast<std::size_t>(r);
-  }
-  return true;
+void pipe_write(int fd, const void* data, std::size_t len) {
+  // The parent treats a short report as a crash.
+  if (!record::write_all(fd, data, len)) _exit(3);
 }
 
 template <typename T>
@@ -161,7 +131,7 @@ void pipe_write_pod(int fd, const T& v) {
 
 template <typename T>
 bool pipe_read_pod(int fd, T* v) {
-  return pipe_read(fd, v, sizeof *v);
+  return read_all(fd, v, sizeof *v);
 }
 
 /// Everything an isolated child must hand back so the parent's DFS state
@@ -250,12 +220,12 @@ bool recv_report(int fd, IsolatedReport* rep, int nprocs) {
   if (!pipe_read_pod(fd, &note_len)) return false;
   if (note_len > (1u << 20)) return false;  // corrupt length = crash
   std::string note(note_len, '\0');
-  if (note_len > 0 && !pipe_read(fd, note.data(), note_len)) return false;
+  if (note_len > 0 && !read_all(fd, note.data(), note_len)) return false;
   if (!pipe_read_pod(fd, &rep->steps)) return false;
   std::uint64_t count = 0;
   if (!pipe_read_pod(fd, &count) || count > (1ull << 30)) return false;
   rep->events.resize(static_cast<std::size_t>(count));
-  if (count > 0 && !pipe_read(fd, rep->events.data(), rep->events.size())) {
+  if (count > 0 && !read_all(fd, rep->events.data(), rep->events.size())) {
     return false;
   }
   if (!pipe_read_pod(fd, &count) || count > (1ull << 20)) return false;
@@ -339,9 +309,7 @@ class Explorer final : public FlipTape, public TraceSink {
         reuse_(reuse_runtime),
         nprocs_(target.nprocs()),
         frontier_(frontier != nullptr ? *frontier : FrontierOptions{}),
-        seen_(limits.compact_cache ? SeenCache::Layout::kCompact
-                                   : SeenCache::Layout::kMap,
-              limits.max_cache_bytes) {
+        seen_(SeenCache::Layout::kCompact, limits.max_cache_bytes) {
     BPRC_REQUIRE(nprocs_ > 0, "explore target needs at least one process");
     BPRC_REQUIRE(nprocs_ <= kRunnableMaskBits,
                  "explorer masks cap the process count");
@@ -1123,7 +1091,9 @@ class Explorer final : public FlipTape, public TraceSink {
     h = fnv_mix(h, static_cast<std::uint64_t>(limits_.max_violations));
     h = fnv_mix(h, static_cast<std::uint64_t>(limits_.sleep_sets));
     h = fnv_mix(h, static_cast<std::uint64_t>(limits_.state_cache));
-    h = fnv_mix(h, static_cast<std::uint64_t>(limits_.compact_cache));
+    // The retired cache-layout switch, folded as its old default so
+    // frontiers written before its removal still resume.
+    h = fnv_mix(h, 1);
     h = fnv_mix(h, limits_.max_cache_bytes);
     h = fnv_mix(h, static_cast<std::uint64_t>(limits_.isolate_leaves));
     h = fnv_mix(h, limits_.split_index);
@@ -1146,22 +1116,7 @@ class Explorer final : public FlipTape, public TraceSink {
     base_peak_bytes_ = f.stats.peak_cache_bytes;
     violations_ = f.violations;
     enumerated_ = f.stats.executions;
-    trail_.clear();
-    trail_.reserve(f.trail.size());
-    for (const FrontierNode& fn : f.trail) {
-      Node node;
-      node.is_coin = fn.is_coin;
-      node.coin_value = fn.coin_value;
-      node.is_stale = fn.is_stale;
-      node.stale_value = fn.stale_value;
-      node.stale_options = fn.stale_options;
-      node.chosen = fn.chosen;
-      node.taken = fn.taken;
-      node.candidates = fn.candidates;
-      node.sleep = fn.sleep;
-      node.ops = fn.ops;
-      trail_.push_back(std::move(node));
-    }
+    trail_ = f.trail;
     seen_.restore(f.cache);
   }
 
@@ -1182,21 +1137,7 @@ class Explorer final : public FlipTape, public TraceSink {
     finalize_stats();
     f.stats = stats_;
     f.stats.complete = complete;
-    f.trail.reserve(trail_.size());
-    for (const Node& node : trail_) {
-      FrontierNode fn;
-      fn.is_coin = node.is_coin;
-      fn.coin_value = node.coin_value;
-      fn.is_stale = node.is_stale;
-      fn.stale_value = node.stale_value;
-      fn.stale_options = node.stale_options;
-      fn.chosen = node.chosen;
-      fn.taken = node.taken;
-      fn.candidates = node.candidates;
-      fn.sleep = node.sleep;
-      fn.ops = node.ops;
-      f.trail.push_back(std::move(fn));
-    }
+    f.trail = trail_;
     f.violations = violations_;
     seen_.snapshot(&f.cache);
     BPRC_REQUIRE(save_frontier(frontier_.checkpoint_path, f),

@@ -89,11 +89,7 @@ struct ExploreLimits {
   /// generation-order delivery (docs/PERFORMANCE.md "explorer
   /// deep-scale").
   unsigned grade_jobs = 1;
-  /// Seen-state cache layout: the compact open-addressing table
-  /// (default) or the legacy unordered_map. Merge decisions are
-  /// bit-identical either way; the determinism tests cross them.
-  bool compact_cache = true;
-  /// Cache memory budget in bytes (compact layout only; 0 = unbounded).
+  /// Seen-state cache memory budget in bytes (0 = unbounded).
   /// Over budget the cache evicts deep entries instead of growing —
   /// sound (fewer prunes, never a skipped state), bounded.
   std::uint64_t max_cache_bytes = 0;

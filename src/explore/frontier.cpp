@@ -1,464 +1,216 @@
 #include "explore/frontier.hpp"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
-#include "consensus/driver.hpp"
+#include "fault/repro.hpp"
 #include "runtime/adversary.hpp"
 
 namespace bprc::explore {
 
 namespace {
 
-void append_hex(std::string* out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  *out += buf;
+/// The decimal `stat` lines, in file order. Shared by writer and reader.
+struct StatField {
+  const char* name;
+  std::uint64_t ExploreStats::*field;
+};
+constexpr StatField kStats[] = {
+    {"executions", &ExploreStats::executions},
+    {"complete-runs", &ExploreStats::complete_runs},
+    {"truncated-runs", &ExploreStats::truncated_runs},
+    {"pruned-runs", &ExploreStats::pruned_runs},
+    {"states-visited", &ExploreStats::states_visited},
+    {"states-merged", &ExploreStats::states_merged},
+    {"sleep-pruned", &ExploreStats::sleep_pruned},
+    {"sleep-blocked", &ExploreStats::sleep_blocked},
+    {"coin-branches", &ExploreStats::coin_branches},
+    {"stale-branches", &ExploreStats::stale_branches},
+    {"max-trail-depth", &ExploreStats::max_trail_depth},
+    {"total-steps", &ExploreStats::total_steps},
+    {"worker-crashes", &ExploreStats::worker_crashes},
+    {"cache-evictions", &ExploreStats::cache_evictions},
+    {"peak-cache-bytes", &ExploreStats::peak_cache_bytes},
+};
+
+bool in_mask_range(ProcId p) { return p >= 0 && p < kRunnableMaskBits; }
+
+bool read_stat(record::Reader& r, ExploreStats* s) {
+  std::string name;
+  if (!r.word(&name)) return false;
+  for (const StatField& f : kStats) {
+    if (name == f.name) return r.num(&(s->*f.field)) && r.eol();
+  }
+  if (name == "digest") return r.hex(&s->schedule_digest) && r.eol();
+  if (name == "seconds") return r.num(&s->seconds) && r.eol();
+  return true;  // unknown stat names: skipped (forward compatibility)
 }
 
-void append_u64(std::string* out, std::uint64_t v) {
-  *out += std::to_string(v);
-}
-
-void append_stat(std::string* out, const char* name, std::uint64_t v) {
-  *out += "stat ";
-  *out += name;
-  *out += ' ';
-  append_u64(out, v);
-  *out += '\n';
-}
-
-bool parse_u64(std::istringstream& in, std::uint64_t* out) {
-  std::string tok;
-  if (!(in >> tok)) return false;
-  char* end = nullptr;
-  *out = std::strtoull(tok.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !tok.empty();
-}
-
-bool parse_hex(std::istringstream& in, std::uint64_t* out) {
-  std::string tok;
-  if (!(in >> tok)) return false;
-  char* end = nullptr;
-  *out = std::strtoull(tok.c_str(), &end, 16);
-  return end != nullptr && *end == '\0' && !tok.empty();
-}
-
-bool parse_i64(std::istringstream& in, std::int64_t* out) {
-  std::string tok;
-  if (!(in >> tok)) return false;
-  char* end = nullptr;
-  *out = std::strtoll(tok.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !tok.empty();
-}
-
-bool fail(std::string* err, const std::string& message) {
-  if (err != nullptr) *err = message;
-  return false;
+bool read_node(record::Reader& r, FrontierNode* node) {
+  std::string kind;
+  if (!r.word(&kind)) return false;
+  if (kind == "c") {
+    node->is_coin = true;
+    return r.flag(&node->coin_value) && r.num(&node->taken) && r.eol();
+  }
+  if (kind == "t") {
+    node->is_stale = true;
+    return r.num(&node->stale_value) && r.num(&node->stale_options) &&
+           r.num(&node->taken) && r.eol() &&
+           ((node->stale_value >= 0 && node->stale_options >= 2 &&
+             node->stale_value < node->stale_options) ||
+            r.malformed("stale value out of range"));
+  }
+  if (kind != "s") return r.malformed("unknown node kind");
+  int nops = 0;
+  if (!(r.num(&node->chosen) && r.num(&node->taken) &&
+        r.hex(&node->candidates) && r.hex(&node->sleep) && r.num(&nops))) {
+    return false;
+  }
+  if (nops < 0 || nops > kRunnableMaskBits) return r.malformed("op count");
+  node->ops.resize(static_cast<std::size_t>(nops));
+  for (OpDesc& op : node->ops) {
+    int kind_id = 0;
+    if (!(r.num(&kind_id) && r.num(&op.object) && r.num(&op.payload))) {
+      return false;
+    }
+    if (kind_id < 0 || kind_id > 2) return r.malformed("op kind");
+    op.kind = static_cast<OpDesc::Kind>(kind_id);
+  }
+  return r.eol();
 }
 
 }  // namespace
 
 std::string serialize_frontier(const Frontier& frontier) {
-  std::string out;
-  out += "bprc-frontier v1\n";
-  out += "fingerprint ";
-  append_hex(&out, frontier.fingerprint);
-  out += '\n';
-  out += "complete ";
-  out += frontier.complete ? '1' : '0';
-  out += '\n';
+  record::Writer w;
+  w.reserve(4096 + frontier.cache.size() * 26);
+  w.header("bprc-frontier", frontier.version);
+  w.line("fingerprint", record::Hex{frontier.fingerprint});
+  w.line("complete", frontier.complete);
 
   const ExploreStats& s = frontier.stats;
-  append_stat(&out, "executions", s.executions);
-  append_stat(&out, "complete-runs", s.complete_runs);
-  append_stat(&out, "truncated-runs", s.truncated_runs);
-  append_stat(&out, "pruned-runs", s.pruned_runs);
-  append_stat(&out, "states-visited", s.states_visited);
-  append_stat(&out, "states-merged", s.states_merged);
-  append_stat(&out, "sleep-pruned", s.sleep_pruned);
-  append_stat(&out, "sleep-blocked", s.sleep_blocked);
-  append_stat(&out, "coin-branches", s.coin_branches);
-  // Emitted only when nonzero (weakened semantics) to keep atomic-mode
-  // frontier bytes historical.
-  if (s.stale_branches != 0) {
-    append_stat(&out, "stale-branches", s.stale_branches);
+  for (const StatField& f : kStats) {
+    // stale-branches only when nonzero (weakened semantics), so
+    // atomic-mode frontiers keep their historical bytes.
+    if (f.field == &ExploreStats::stale_branches && s.stale_branches == 0) {
+      continue;
+    }
+    w.line("stat", f.name, s.*f.field);
   }
-  append_stat(&out, "max-trail-depth", s.max_trail_depth);
-  append_stat(&out, "total-steps", s.total_steps);
-  append_stat(&out, "worker-crashes", s.worker_crashes);
-  append_stat(&out, "cache-evictions", s.cache_evictions);
-  append_stat(&out, "peak-cache-bytes", s.peak_cache_bytes);
-  out += "stat digest ";
-  append_hex(&out, s.schedule_digest);
-  out += '\n';
-  {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "stat seconds %.9g\n", s.seconds);
-    out += buf;
-  }
+  w.line("stat", "digest", record::Hex{s.schedule_digest});
+  char seconds[32];
+  std::snprintf(seconds, sizeof seconds, "%.9g", s.seconds);
+  w.line("stat", "seconds", std::string_view(seconds));
 
-  out += "trail ";
-  append_u64(&out, frontier.trail.size());
-  out += '\n';
+  w.line("trail", frontier.trail.size());
   for (const FrontierNode& node : frontier.trail) {
     if (node.is_coin) {
-      out += "node c ";
-      out += node.coin_value ? '1' : '0';
-      out += ' ';
-      out += std::to_string(node.taken);
-      out += '\n';
-      continue;
-    }
-    if (node.is_stale) {
-      out += "node t ";
-      out += std::to_string(node.stale_value);
-      out += ' ';
-      out += std::to_string(node.stale_options);
-      out += ' ';
-      out += std::to_string(node.taken);
-      out += '\n';
-      continue;
-    }
-    out += "node s ";
-    out += std::to_string(node.chosen);
-    out += ' ';
-    out += std::to_string(node.taken);
-    out += ' ';
-    append_hex(&out, node.candidates);
-    out += ' ';
-    append_hex(&out, node.sleep);
-    out += ' ';
-    out += std::to_string(node.ops.size());
-    for (const OpDesc& op : node.ops) {
-      out += ' ';
-      out += std::to_string(static_cast<int>(op.kind));
-      out += ' ';
-      out += std::to_string(op.object);
-      out += ' ';
-      out += std::to_string(op.payload);
-    }
-    out += '\n';
-  }
-
-  out += "violations ";
-  append_u64(&out, frontier.violations.size());
-  out += '\n';
-  for (const ExploreViolation& v : frontier.violations) {
-    out += "violation ";
-    out += to_string(v.failure);
-    out += '\n';
-    out += "vschedule";
-    for (const ProcId p : v.schedule) {
-      out += ' ';
-      out += std::to_string(p);
-    }
-    out += '\n';
-    out += "vflips";
-    for (const bool f : v.flips) {
-      out += f ? " 1" : " 0";
-    }
-    out += '\n';
-    if (!v.stales.empty()) {
-      // Emitted only when non-empty so atomic-mode frontiers keep their
-      // historical bytes.
-      out += "vstales";
-      for (const int c : v.stales) {
-        out += ' ';
-        out += std::to_string(c);
+      w.line("node", "c", node.coin_value, node.taken);
+    } else if (node.is_stale) {
+      w.line("node", "t", node.stale_value, node.stale_options, node.taken);
+    } else {
+      std::vector<std::int64_t> ops;  // (kind object payload) per process
+      for (const OpDesc& op : node.ops) {
+        ops.insert(ops.end(), {static_cast<std::int64_t>(op.kind), op.object,
+                               op.payload});
       }
-      out += '\n';
+      w.line("node", "s", node.chosen, node.taken, record::Hex{node.candidates},
+             record::Hex{node.sleep}, node.ops.size(), ops);
     }
-    out += "vnote ";
-    for (const char c : v.note) {
-      out += (c == '\n' || c == '\r') ? ' ' : c;  // notes stay one line
-    }
-    out += '\n';
   }
 
-  out += "cache ";
-  append_u64(&out, frontier.cache.size());
-  out += '\n';
+  w.line("violations", frontier.violations.size());
+  for (const ExploreViolation& v : frontier.violations) {
+    w.line("violation", to_string(v.failure));
+    w.line("vschedule", v.schedule);
+    w.line("vflips", v.flips);
+    // vstales only when non-empty, so atomic-mode frontiers keep their
+    // historical bytes.
+    if (!v.stales.empty()) w.line("vstales", v.stales);
+    std::string note = v.note;
+    std::replace_if(
+        note.begin(), note.end(), [](char c) { return c == '\n' || c == '\r'; },
+        ' ');  // notes stay one line
+    w.line("vnote", note);
+  }
+
+  w.line("cache", frontier.cache.size());
   for (const auto& [key, depth] : frontier.cache) {
-    out += "seen ";
-    append_hex(&out, key);
-    out += ' ';
-    out += std::to_string(static_cast<int>(depth));
-    out += '\n';
+    w.line("seen", record::Hex{key}, static_cast<int>(depth));
   }
-
-  out += "end\n";
-  return out;
+  w.line("end");
+  return w.take();
 }
 
 std::optional<Frontier> parse_frontier(const std::string& text,
                                        std::string* err) {
-  std::istringstream lines(text);
-  std::string line;
-  auto next_line = [&](std::istringstream* out) {
-    if (!std::getline(lines, line)) return false;
-    out->clear();
-    out->str(line);
-    return true;
-  };
-
-  std::istringstream in;
-  if (!next_line(&in)) {
-    fail(err, "empty frontier file");
-    return std::nullopt;
-  }
-  std::string tag, version;
-  in >> tag >> version;
-  if (tag != "bprc-frontier" || version != "v1") {
-    fail(err, "not a bprc-frontier v1 file");
-    return std::nullopt;
-  }
-
-  Frontier frontier;
-  bool saw_end = false;
-  std::int64_t pending_trail = -1;
-  std::int64_t pending_violations = -1;
-  std::int64_t pending_cache = -1;
-  ExploreViolation* open_violation = nullptr;
-
-  while (next_line(&in)) {
-    std::string key;
-    if (!(in >> key) || key.empty() || key[0] == '#') continue;
-    if (key == "end") {
-      saw_end = true;
-      break;
+  record::Reader r(text, "bprc-frontier", err);
+  Frontier f;
+  // Declared section sizes; each must match the lines that follow.
+  std::uint64_t trail = 0, violations = 0, cache = 0;
+  const auto read_line = [&]() -> bool {
+    const std::string_view key = r.key();
+    if (key == "seen") {
+      auto& [cache_key, depth] = f.cache.emplace_back();
+      return r.hex(&cache_key) && r.num(&depth) && r.eol();
+    }
+    if (key == "stat") return read_stat(r, &f.stats);
+    if (key == "node") return read_node(r, &f.trail.emplace_back());
+    if (key == "violation") {
+      ExploreViolation& v = f.violations.emplace_back();
+      return fault::read_failure_class(r, &v.failure) && r.eol();
+    }
+    if (key == "vschedule" || key == "vflips" || key == "vstales" ||
+        key == "vnote") {
+      if (f.violations.empty()) {
+        return r.fail(std::string(key) + " without a violation");
+      }
+      ExploreViolation& v = f.violations.back();
+      if (key == "vschedule") {
+        return r.list(&v.schedule, in_mask_range, "pick out of range");
+      }
+      if (key == "vflips") return r.bits(&v.flips);
+      if (key == "vstales") return fault::read_stales(r, &v.stales);
+      v.note = r.rest();
+      return true;
     }
     if (key == "fingerprint") {
-      if (!parse_hex(in, &frontier.fingerprint)) {
-        fail(err, "malformed fingerprint line");
-        return std::nullopt;
-      }
-    } else if (key == "complete") {
-      std::uint64_t v = 0;
-      if (!parse_u64(in, &v)) {
-        fail(err, "malformed complete line");
-        return std::nullopt;
-      }
-      frontier.complete = v != 0;
-    } else if (key == "stat") {
-      std::string name;
-      if (!(in >> name)) {
-        fail(err, "malformed stat line");
-        return std::nullopt;
-      }
-      ExploreStats& s = frontier.stats;
-      bool ok = true;
-      if (name == "executions") ok = parse_u64(in, &s.executions);
-      else if (name == "complete-runs") ok = parse_u64(in, &s.complete_runs);
-      else if (name == "truncated-runs") ok = parse_u64(in, &s.truncated_runs);
-      else if (name == "pruned-runs") ok = parse_u64(in, &s.pruned_runs);
-      else if (name == "states-visited") ok = parse_u64(in, &s.states_visited);
-      else if (name == "states-merged") ok = parse_u64(in, &s.states_merged);
-      else if (name == "sleep-pruned") ok = parse_u64(in, &s.sleep_pruned);
-      else if (name == "sleep-blocked") ok = parse_u64(in, &s.sleep_blocked);
-      else if (name == "coin-branches") ok = parse_u64(in, &s.coin_branches);
-      else if (name == "stale-branches") ok = parse_u64(in, &s.stale_branches);
-      else if (name == "max-trail-depth") ok = parse_u64(in, &s.max_trail_depth);
-      else if (name == "total-steps") ok = parse_u64(in, &s.total_steps);
-      else if (name == "worker-crashes") ok = parse_u64(in, &s.worker_crashes);
-      else if (name == "cache-evictions") ok = parse_u64(in, &s.cache_evictions);
-      else if (name == "peak-cache-bytes") ok = parse_u64(in, &s.peak_cache_bytes);
-      else if (name == "digest") ok = parse_hex(in, &s.schedule_digest);
-      else if (name == "seconds") {
-        std::string tok;
-        ok = static_cast<bool>(in >> tok);
-        if (ok) s.seconds = std::strtod(tok.c_str(), nullptr);
-      }
-      // Unknown stat names are skipped (forward compatibility).
-      if (!ok) {
-        fail(err, "malformed stat " + name);
-        return std::nullopt;
-      }
-    } else if (key == "trail") {
-      if (!parse_i64(in, &pending_trail) || pending_trail < 0) {
-        fail(err, "malformed trail count");
-        return std::nullopt;
-      }
-    } else if (key == "node") {
-      if (pending_trail <= 0) {
-        fail(err, "node line outside a declared trail");
-        return std::nullopt;
-      }
-      --pending_trail;
-      std::string kind;
-      if (!(in >> kind)) {
-        fail(err, "malformed node line");
-        return std::nullopt;
-      }
-      FrontierNode node;
-      if (kind == "c") {
-        node.is_coin = true;
-        std::uint64_t value = 0;
-        std::int64_t taken = 0;
-        if (!parse_u64(in, &value) || !parse_i64(in, &taken)) {
-          fail(err, "malformed coin node");
-          return std::nullopt;
-        }
-        node.coin_value = value != 0;
-        node.taken = static_cast<int>(taken);
-      } else if (kind == "t") {
-        node.is_stale = true;
-        std::int64_t value = 0, options = 0, taken = 0;
-        if (!parse_i64(in, &value) || !parse_i64(in, &options) ||
-            !parse_i64(in, &taken) || value < 0 || options < 2 ||
-            value >= options) {
-          fail(err, "malformed stale node");
-          return std::nullopt;
-        }
-        node.stale_value = static_cast<int>(value);
-        node.stale_options = static_cast<int>(options);
-        node.taken = static_cast<int>(taken);
-      } else if (kind == "s") {
-        std::int64_t chosen = 0, taken = 0, nops = 0;
-        if (!parse_i64(in, &chosen) || !parse_i64(in, &taken) ||
-            !parse_hex(in, &node.candidates) || !parse_hex(in, &node.sleep) ||
-            !parse_i64(in, &nops) || nops < 0 || nops > kRunnableMaskBits) {
-          fail(err, "malformed schedule node");
-          return std::nullopt;
-        }
-        node.chosen = static_cast<ProcId>(chosen);
-        node.taken = static_cast<int>(taken);
-        node.ops.resize(static_cast<std::size_t>(nops));
-        for (OpDesc& op : node.ops) {
-          std::int64_t k = 0, object = 0, payload = 0;
-          if (!parse_i64(in, &k) || !parse_i64(in, &object) ||
-              !parse_i64(in, &payload) || k < 0 || k > 2) {
-            fail(err, "malformed node op");
-            return std::nullopt;
-          }
-          op.kind = static_cast<OpDesc::Kind>(k);
-          op.object = static_cast<int>(object);
-          op.payload = payload;
-        }
-      } else {
-        fail(err, "unknown node kind " + kind);
-        return std::nullopt;
-      }
-      frontier.trail.push_back(std::move(node));
-    } else if (key == "violations") {
-      if (!parse_i64(in, &pending_violations) || pending_violations < 0) {
-        fail(err, "malformed violations count");
-        return std::nullopt;
-      }
-    } else if (key == "violation") {
-      if (pending_violations <= 0) {
-        fail(err, "violation line outside a declared list");
-        return std::nullopt;
-      }
-      --pending_violations;
-      std::string name;
-      if (!(in >> name)) {
-        fail(err, "malformed violation line");
-        return std::nullopt;
-      }
-      ExploreViolation v;
-      v.failure = failure_class_from_string(name);
-      frontier.violations.push_back(std::move(v));
-      open_violation = &frontier.violations.back();
-    } else if (key == "vschedule") {
-      if (open_violation == nullptr) {
-        fail(err, "vschedule without a violation");
-        return std::nullopt;
-      }
-      std::int64_t p = 0;
-      while (parse_i64(in, &p)) {
-        if (p < 0 || p >= kRunnableMaskBits) {
-          fail(err, "vschedule pick out of range");
-          return std::nullopt;
-        }
-        open_violation->schedule.push_back(static_cast<ProcId>(p));
-      }
-    } else if (key == "vflips") {
-      if (open_violation == nullptr) {
-        fail(err, "vflips without a violation");
-        return std::nullopt;
-      }
-      std::uint64_t f = 0;
-      while (parse_u64(in, &f)) {
-        open_violation->flips.push_back(f != 0);
-      }
-    } else if (key == "vstales") {
-      if (open_violation == nullptr) {
-        fail(err, "vstales without a violation");
-        return std::nullopt;
-      }
-      std::int64_t c = 0;
-      while (parse_i64(in, &c)) {
-        if (c < 0) {
-          fail(err, "vstales choice out of range");
-          return std::nullopt;
-        }
-        open_violation->stales.push_back(static_cast<int>(c));
-      }
-    } else if (key == "vnote") {
-      if (open_violation == nullptr) {
-        fail(err, "vnote without a violation");
-        return std::nullopt;
-      }
-      std::string rest;
-      std::getline(in >> std::ws, rest);
-      open_violation->note = rest;
-    } else if (key == "cache") {
-      if (!parse_i64(in, &pending_cache) || pending_cache < 0) {
-        fail(err, "malformed cache count");
-        return std::nullopt;
-      }
-      frontier.cache.reserve(static_cast<std::size_t>(pending_cache));
-    } else if (key == "seen") {
-      if (pending_cache <= 0) {
-        fail(err, "seen line outside a declared cache");
-        return std::nullopt;
-      }
-      --pending_cache;
-      std::uint64_t cache_key = 0;
-      std::uint64_t depth = 0;
-      if (!parse_hex(in, &cache_key) || !parse_u64(in, &depth) || depth > 255) {
-        fail(err, "malformed seen line");
-        return std::nullopt;
-      }
-      frontier.cache.emplace_back(cache_key,
-                                  static_cast<std::uint8_t>(depth));
+      return r.once() && r.hex(&f.fingerprint) && r.eol();
     }
-    // Unknown keys are skipped (forward compatibility).
+    if (key == "complete") return r.once() && r.flag(&f.complete) && r.eol();
+    if (key == "trail") return r.once() && r.num(&trail) && r.eol();
+    if (key == "violations") return r.once() && r.num(&violations) && r.eol();
+    if (key == "cache") {
+      if (!(r.once() && r.num(&cache) && r.eol())) return false;
+      // Capped by what the text could hold: a hostile count never
+      // allocates more than the file's size.
+      f.cache.reserve(std::min<std::uint64_t>(cache, text.size() / 8));
+    }
+    return true;  // unknown keys: skipped (forward compatibility)
+  };
+  if (!r.header(f.version)) return std::nullopt;
+  while (r.next() && !r.at_end()) {
+    if (!read_line()) return std::nullopt;
   }
-
-  if (!saw_end) {
-    fail(err, "missing end marker (truncated frontier?)");
+  if (!r.finish()) return std::nullopt;
+  if (f.trail.size() != trail || f.violations.size() != violations ||
+      f.cache.size() != cache) {
+    r.fail_record("a section's line count differs from its declared count");
     return std::nullopt;
   }
-  if (pending_trail > 0 || pending_violations > 0 || pending_cache > 0) {
-    fail(err, "frontier section shorter than its declared count");
-    return std::nullopt;
-  }
-  frontier.stats.complete = frontier.complete;
-  return frontier;
+  f.stats.complete = f.complete;
+  return f;
 }
 
 bool save_frontier(const std::string& path, const Frontier& frontier) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  const std::string text = serialize_frontier(frontier);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return static_cast<bool>(out.flush());
+  return record::write_file(path, serialize_frontier(frontier));
 }
 
 std::optional<Frontier> load_frontier(const std::string& path,
                                       std::string* err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (err != nullptr) *err = "cannot open " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_frontier(buf.str(), err);
+  const auto text = record::read_file(path, err);
+  return text.has_value() ? parse_frontier(*text, err) : std::nullopt;
 }
 
 }  // namespace bprc::explore

@@ -9,9 +9,9 @@
 // the identical merge decisions, or its digest diverges from the
 // uninterrupted run's).
 //
-// Line-oriented text, in the `.bprc-repro` / `.bprc-shard` tradition —
-// versioned, diffable, `end`-guarded against truncation, unknown keys
-// skipped for forward compatibility:
+// A keyed-line record (grammar, strictness and atomic save:
+// util/record_text.hpp); unknown keys are skipped for forward
+// compatibility:
 //
 //   bprc-frontier v1
 //   fingerprint 1f2e3d4c5b6a7988    # fold of target identity + limits +
@@ -56,18 +56,24 @@
 
 namespace bprc::explore {
 
-/// One trail node, exactly the explorer's backtracking state for it.
+/// One choice point on the explorer's DFS trail. Schedule nodes branch
+/// over runnable processes; coin nodes branch a local flip over {false,
+/// true}; stale nodes (weakened register semantics) branch an overlapping
+/// read over every servable value [0, stale_options).
 struct FrontierNode {
   bool is_coin = false;
-  bool coin_value = false;
-  bool is_stale = false;    ///< stale-read choice point (weakened semantics)
-  int stale_value = 0;
-  int stale_options = 0;
-  ProcId chosen = -1;
-  int taken = 0;
-  std::uint64_t candidates = 0;
+  bool coin_value = false;  ///< current branch of a coin node
+  bool is_stale = false;
+  int stale_value = 0;      ///< current branch of a stale node
+  int stale_options = 0;    ///< choice count recorded at creation
+  ProcId chosen = -1;       ///< current branch of a schedule node
+  int taken = 0;            ///< branches explored so far (stats)
+  std::uint64_t candidates = 0;  ///< runnable set at this point
+  /// Working sleep set: entry sleep plus already-explored siblings. A
+  /// candidate in here commutes with some explored branch — its subtree
+  /// is a permutation of one already visited.
   std::uint64_t sleep = 0;
-  std::vector<OpDesc> ops;  ///< pending op per process (schedule nodes)
+  std::vector<OpDesc> ops;  ///< pending op per process (dependence check)
 };
 
 struct Frontier {
@@ -87,7 +93,7 @@ std::string serialize_frontier(const Frontier& frontier);
 std::optional<Frontier> parse_frontier(const std::string& text,
                                        std::string* err);
 
-/// File convenience wrappers. save returns false on I/O failure.
+/// File wrappers over record::read_file / record::write_file (atomic).
 bool save_frontier(const std::string& path, const Frontier& frontier);
 std::optional<Frontier> load_frontier(const std::string& path,
                                       std::string* err);

@@ -14,6 +14,7 @@
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "util/assert.hpp"
+#include "util/record_text.hpp"
 
 namespace bprc::explore {
 
@@ -111,25 +112,11 @@ class RecordingFlipTape final : public FlipTape {
 
 // --- pipe wire format for the isolated path (child → parent) ---
 
-void write_all(int fd, const void* data, std::size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t w = ::write(fd, p, len);
-    if (w <= 0) _exit(3);  // parent treats a short report as a crash
-    p += w;
-    len -= static_cast<std::size_t>(w);
-  }
-}
+using record::read_all;
 
-bool read_all(int fd, void* data, std::size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    const ssize_t r = ::read(fd, p, len);
-    if (r <= 0) return false;
-    p += r;
-    len -= static_cast<std::size_t>(r);
-  }
-  return true;
+void write_all(int fd, const void* data, std::size_t len) {
+  // The parent treats a short report as a crash.
+  if (!record::write_all(fd, data, len)) _exit(3);
 }
 
 void send_outcome(int fd, const LeafOutcome& out) {

@@ -1,8 +1,5 @@
 #include "fault/repro.hpp"
 
-#include <fstream>
-#include <sstream>
-
 namespace bprc::fault {
 
 namespace {
@@ -16,268 +13,166 @@ std::string join_ints(const std::vector<int>& v) {
   return out;
 }
 
-bool fail_with(std::string* err, const std::string& message) {
-  if (err != nullptr) *err = message;
-  return false;
+bool read_repro_line(record::Reader& r, Repro* repro) {
+  const std::string_view key = r.key();
+  if (const auto ok = read_run_line(r, &repro->run)) return *ok;
+  if (key == "crash") return read_crash(r, &repro->crashes);
+  if (key == "failure") {
+    return r.once() && read_failure_class(r, &repro->failure) && r.eol();
+  }
+  if (key == "note") {
+    if (r.once()) repro->note = r.rest();
+    return r.ok();
+  }
+  if (key == "mode") {
+    std::string mode;
+    repro->generative = true;  // the only mode; any other is refused
+    return r.once() && r.word(&mode) && r.eol() &&
+           (mode == "generative" || r.malformed("unknown replay mode"));
+  }
+  if (key == "flips") return r.once() && r.bits(&repro->flips);
+  if (key == "stale-reads") return r.once() && read_stales(r, &repro->stales);
+  if (key == "schedule") return r.once() && r.list(&repro->schedule);
+  return true;  // unknown keys: skipped for forward compatibility
 }
 
 }  // namespace
 
+std::optional<bool> read_run_line(record::Reader& r, TortureRun* run) {
+  const std::string_view key = r.key();
+  if (key == "plan-crash") return read_crash(r, &run->crash_plan);
+  if (key == "protocol") return r.once() && r.word(&run->protocol) && r.eol();
+  if (key == "inputs") return r.once() && r.list(&run->inputs);
+  if (key == "adversary") {
+    return r.once() && r.word(&run->adversary) && r.eol();
+  }
+  if (key == "seed") return r.once() && r.num(&run->seed) && r.eol();
+  if (key == "max-steps") return r.once() && r.num(&run->max_steps) && r.eol();
+  if (key == "semantics") {
+    // Reject, never guess: an unknown register model would replay a
+    // different run and report its verdict as the recorded one.
+    std::string name;
+    return r.once() && r.word(&name) && r.eol() &&
+           (register_semantics_from_string(name, &run->semantics) ||
+            r.fail("unrecognized register semantics '" + name +
+                   "' (this build knows atomic, regular, safe): " +
+                   std::string(r.line())));
+  }
+  if (key != "space") return std::nullopt;
+  // Same rule: a mangled budget is never replaced by the default.
+  if (!r.once()) return false;
+  std::string why;
+  const auto parsed = SpaceBudget::parse(std::string(r.rest()), &why);
+  if (parsed.has_value()) run->space = *parsed;
+  return parsed.has_value() || r.malformed(why);
+}
+
+bool read_crash(record::Reader& r,
+                std::vector<CrashPlanAdversary::Crash>* out) {
+  CrashPlanAdversary::Crash crash{};
+  if (!(r.num(&crash.at_step) && r.num(&crash.victim) && r.eol())) {
+    return false;
+  }
+  out->push_back(crash);
+  return true;
+}
+
+bool read_stales(record::Reader& r, std::vector<int>* out) {
+  return r.list(out, [](int c) { return c >= 0; }, "choices are >= 0");
+}
+
+bool read_failure_class(record::Reader& r, FailureClass* out) {
+  std::string name;
+  if (!r.word(&name)) return false;
+  // failure_class_from_string maps unknown names to kNone; tell a
+  // genuine "none" from garbage by round-tripping.
+  *out = failure_class_from_string(name);
+  return name == to_string(*out) || r.malformed("unknown failure class");
+}
+
+void write_run_head(record::Writer& w, const TortureRun& run) {
+  w.line("protocol", run.protocol);
+  w.line("inputs", run.inputs);
+  w.line("adversary", run.adversary);
+}
+
+void write_run_limits(record::Writer& w, const TortureRun& run) {
+  w.line("seed", run.seed);
+  w.line("max-steps", run.max_steps);
+}
+
+void write_semantics(record::Writer& w, const TortureRun& run) {
+  w.line("semantics", to_string(run.semantics));
+}
+
+void write_space(record::Writer& w, const TortureRun& run) {
+  if (!run.space.is_default()) w.line("space", run.space.to_string());
+}
+
+void write_crashes(record::Writer& w, std::string_view key,
+                   const std::vector<CrashPlanAdversary::Crash>& crashes) {
+  for (const auto& crash : crashes) w.line(key, crash.at_step, crash.victim);
+}
+
 std::string serialize_repro(const Repro& repro) {
-  std::ostringstream out;
-  out << "bprc-repro v" << repro.version << "\n";
-  out << "protocol " << repro.run.protocol << "\n";
-  out << "inputs " << join_ints(repro.run.inputs) << "\n";
-  out << "adversary " << repro.run.adversary << "\n";
-  out << "seed " << repro.run.seed << "\n";
-  out << "max-steps " << repro.run.max_steps << "\n";
-  // Weak-register lines are omitted entirely under atomic semantics so
+  record::Writer w;
+  w.header("bprc-repro", repro.version);
+  write_run_head(w, repro.run);
+  write_run_limits(w, repro.run);
+  // The weak-register and space lines are omitted at their defaults so
   // historical artifacts keep their exact bytes.
   if (repro.run.semantics != RegisterSemantics::kAtomic) {
-    out << "semantics " << to_string(repro.run.semantics) << "\n";
+    write_semantics(w, repro.run);
   }
-  // Same contract for the space lane: the default budget writes nothing.
-  if (!repro.run.space.is_default()) {
-    out << "space " << repro.run.space.to_string() << "\n";
-  }
-  out << "failure " << to_string(repro.failure) << "\n";
-  if (!repro.note.empty()) out << "note " << repro.note << "\n";
-  if (repro.generative) out << "mode generative\n";
-  for (const auto& crash : repro.run.crash_plan) {
-    out << "plan-crash " << crash.at_step << " " << crash.victim << "\n";
-  }
-  for (const auto& crash : repro.crashes) {
-    out << "crash " << crash.at_step << " " << crash.victim << "\n";
-  }
-  if (!repro.flips.empty()) {
-    out << "flips";
-    for (const bool b : repro.flips) out << " " << (b ? 1 : 0);
-    out << "\n";
-  }
-  if (!repro.stales.empty()) {
-    out << "stale-reads";
-    for (const int c : repro.stales) out << " " << c;
-    out << "\n";
-  }
-  out << "schedule";
-  for (const ProcId p : repro.schedule) out << " " << p;
-  out << "\nend\n";
-  return out.str();
+  write_space(w, repro.run);
+  w.line("failure", to_string(repro.failure));
+  if (!repro.note.empty()) w.line("note", repro.note);
+  if (repro.generative) w.line("mode", "generative");
+  write_crashes(w, "plan-crash", repro.run.crash_plan);
+  write_crashes(w, "crash", repro.crashes);
+  if (!repro.flips.empty()) w.line("flips", repro.flips);
+  if (!repro.stales.empty()) w.line("stale-reads", repro.stales);
+  w.line("schedule", repro.schedule);
+  w.line("end");
+  return w.take();
 }
 
 std::optional<Repro> parse_repro(const std::string& text, std::string* err) {
-  std::istringstream in(text);
-  std::string line;
+  // A malformed artifact must be rejected, never mis-replayed: a half-read
+  // schedule would replay a *different* run and report its verdict as the
+  // recorded one. The codec's strict fields and once-only keys enforce it.
+  record::Reader r(text, "bprc-repro", err);
   Repro repro;
-  std::string dummy;
-  if (err == nullptr) err = &dummy;
+  if (!r.header(repro.version)) return std::nullopt;
+  while (r.next() && !r.at_end()) {
+    if (!read_repro_line(r, &repro)) return std::nullopt;
+  }
+  if (!r.finish()) return std::nullopt;
 
-  if (!std::getline(in, line) || line.rfind("bprc-repro v", 0) != 0) {
-    fail_with(err, "not a bprc-repro file (missing header)");
+  const int n = repro.run.n();
+  const auto reject = [&](const std::string& what) -> std::optional<Repro> {
+    r.fail_record(what);
     return std::nullopt;
-  }
-  repro.version = std::atoi(line.c_str() + 12);
-  if (repro.version != 1) {
-    fail_with(err, "unsupported bprc-repro version");
-    return std::nullopt;
-  }
-
-  // A malformed artifact must be rejected, never mis-replayed: a schedule
-  // line that silently dropped its tail at the first garbage token would
-  // replay a *different* run and report its verdict as if it were the
-  // recorded one. Hence: every numeric list must consume its whole line,
-  // and single-valued sections may appear at most once.
-  const auto trailing_garbage = [](std::istringstream& fields) {
-    // operator>> stopped early: failbit without eof means a bad token.
-    return fields.fail() && !fields.eof();
   };
-  const auto leftover = [](std::istringstream& fields) {
-    // Fixed-arity lines must consume the whole line: "seed 7 oops" (or a
-    // crash line with a third number) is a corrupt or mis-edited
-    // artifact, not a seed of 7.
-    std::string rest;
-    return static_cast<bool>(fields >> rest);
-  };
-  bool saw_protocol = false, saw_inputs = false, saw_adversary = false;
-  bool saw_seed = false, saw_max_steps = false, saw_failure = false;
-  bool saw_schedule = false, saw_flips = false, saw_note = false;
-  bool saw_mode = false, saw_semantics = false, saw_stales = false;
-  bool saw_space = false;
-  const auto duplicate = [&](bool& flag, const char* what) {
-    if (flag) {
-      fail_with(err, std::string("duplicate ") + what + " section");
-      return true;
-    }
-    flag = true;
-    return false;
-  };
-
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "end") {
-      saw_end = true;
-      break;
-    } else if (key == "protocol") {
-      if (duplicate(saw_protocol, "protocol")) return std::nullopt;
-      fields >> repro.run.protocol;
-    } else if (key == "inputs") {
-      if (duplicate(saw_inputs, "inputs")) return std::nullopt;
-      int v = 0;
-      while (fields >> v) repro.run.inputs.push_back(v);
-      if (trailing_garbage(fields)) {
-        fail_with(err, "malformed inputs line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "adversary") {
-      if (duplicate(saw_adversary, "adversary")) return std::nullopt;
-      fields >> repro.run.adversary;
-    } else if (key == "seed") {
-      if (duplicate(saw_seed, "seed")) return std::nullopt;
-      if (!(fields >> repro.run.seed) || leftover(fields)) {
-        fail_with(err, "malformed seed line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "max-steps") {
-      if (duplicate(saw_max_steps, "max-steps")) return std::nullopt;
-      if (!(fields >> repro.run.max_steps) || leftover(fields)) {
-        fail_with(err, "malformed max-steps line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "semantics") {
-      if (duplicate(saw_semantics, "semantics")) return std::nullopt;
-      std::string name;
-      fields >> name;
-      // Reject, never guess: a semantics this build does not know would
-      // silently replay under the wrong register model and report its
-      // verdict as if it were the recorded one.
-      if (!register_semantics_from_string(name, &repro.run.semantics)) {
-        fail_with(err, "unrecognized register semantics '" + name +
-                           "' (this build knows atomic, regular, safe): " +
-                           line);
-        return std::nullopt;
-      }
-      if (leftover(fields)) {
-        fail_with(err, "malformed semantics line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "space") {
-      if (duplicate(saw_space, "space")) return std::nullopt;
-      std::string rest;
-      std::getline(fields, rest);
-      // Reject, never guess (the semantics precedent): a malformed
-      // budget silently replaced by the default would replay a different
-      // protocol layout and report its verdict as if it were recorded.
-      std::string why;
-      const auto parsed = SpaceBudget::parse(rest, &why);
-      if (!parsed.has_value()) {
-        fail_with(err, "malformed space line (" + why + "): " + line);
-        return std::nullopt;
-      }
-      repro.run.space = *parsed;
-    } else if (key == "stale-reads") {
-      if (duplicate(saw_stales, "stale-reads")) return std::nullopt;
-      int c = 0;
-      while (fields >> c) {
-        if (c < 0) {
-          fail_with(err, "malformed stale-reads line (choices are >= 0): " +
-                             line);
-          return std::nullopt;
-        }
-        repro.stales.push_back(c);
-      }
-      if (trailing_garbage(fields)) {
-        fail_with(err, "malformed stale-reads line: " + line);
-        return std::nullopt;
-      }
-    } else if (key == "failure") {
-      if (duplicate(saw_failure, "failure")) return std::nullopt;
-      std::string name;
-      fields >> name;
-      repro.failure = failure_class_from_string(name);
-    } else if (key == "note") {
-      if (duplicate(saw_note, "note")) return std::nullopt;
-      std::getline(fields, repro.note);
-      if (!repro.note.empty() && repro.note.front() == ' ') {
-        repro.note.erase(repro.note.begin());
-      }
-    } else if (key == "mode") {
-      if (duplicate(saw_mode, "mode")) return std::nullopt;
-      std::string mode;
-      fields >> mode;
-      if (mode != "generative") {
-        fail_with(err, "unknown replay mode: " + line);
-        return std::nullopt;
-      }
-      repro.generative = true;
-    } else if (key == "plan-crash" || key == "crash") {
-      CrashPlanAdversary::Crash crash{};
-      if (!(fields >> crash.at_step >> crash.victim) || leftover(fields)) {
-        fail_with(err, "malformed crash line: " + line);
-        return std::nullopt;
-      }
-      (key == "crash" ? repro.crashes : repro.run.crash_plan).push_back(crash);
-    } else if (key == "flips") {
-      if (duplicate(saw_flips, "flips")) return std::nullopt;
-      int b = 0;
-      while (fields >> b) {
-        if (b != 0 && b != 1) {
-          fail_with(err, "malformed flips line (bits only): " + line);
-          return std::nullopt;
-        }
-        repro.flips.push_back(b == 1);
-      }
-      if (trailing_garbage(fields)) {
-        fail_with(err, "malformed flips line (bits only): " + line);
-        return std::nullopt;
-      }
-    } else if (key == "schedule") {
-      if (duplicate(saw_schedule, "schedule")) return std::nullopt;
-      ProcId p = -1;
-      while (fields >> p) repro.schedule.push_back(p);
-      if (trailing_garbage(fields)) {
-        fail_with(err, "malformed schedule line: " + line);
-        return std::nullopt;
-      }
-    }
-    // Unknown keys: skipped for forward compatibility.
-  }
-
-  if (!saw_end) {
-    fail_with(err, "truncated bprc-repro file (missing 'end')");
-    return std::nullopt;
-  }
   if (repro.run.protocol.empty() || repro.run.inputs.empty()) {
-    fail_with(err, "bprc-repro file missing protocol or inputs");
-    return std::nullopt;
+    return reject("missing protocol or inputs");
   }
-  if (repro.run.max_steps == 0) {
-    fail_with(err, "bprc-repro file missing max-steps");
-    return std::nullopt;
-  }
-  if (repro.run.n() > kRunnableMaskBits) {
+  if (repro.run.max_steps == 0) return reject("missing max-steps");
+  if (n > kRunnableMaskBits) {
     // Replay depends on the simulator's O(1) runnable digest being
     // authoritative for every recorded pick; a wider configuration would
     // replay outside that validated envelope. Refuse loudly instead.
-    fail_with(err, "recorded n=" + std::to_string(repro.run.n()) +
-                       " exceeds this build's runnable-bitmask width (" +
-                       std::to_string(kRunnableMaskBits) +
-                       " processes); cannot replay this artifact");
-    return std::nullopt;
+    return reject("recorded n=" + std::to_string(n) +
+                  " exceeds this build's runnable-bitmask width (" +
+                  std::to_string(kRunnableMaskBits) +
+                  " processes); cannot replay this artifact");
   }
   for (const ProcId p : repro.schedule) {
-    if (p < 0 || p >= repro.run.n()) {
-      fail_with(err, "schedule entry out of range");
-      return std::nullopt;
-    }
+    if (p < 0 || p >= n) return reject("schedule entry out of range");
   }
   for (const auto& crash : repro.crashes) {
-    if (crash.victim < 0 || crash.victim >= repro.run.n()) {
-      fail_with(err, "crash victim out of range");
-      return std::nullopt;
+    if (crash.victim < 0 || crash.victim >= n) {
+      return reject("crash victim out of range");
     }
   }
   if (!repro.stales.empty() &&
@@ -285,28 +180,18 @@ std::optional<Repro> parse_repro(const std::string& text, std::string* err) {
     // Choices that can never be consumed mean the artifact lost (or never
     // had) its semantics line — replaying it atomically would not be the
     // recorded run.
-    fail_with(err, "stale-reads present but semantics is atomic");
-    return std::nullopt;
+    return reject("stale-reads present but semantics is atomic");
   }
   return repro;
 }
 
 bool save_repro(const std::string& path, const Repro& repro) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << serialize_repro(repro);
-  return static_cast<bool>(out);
+  return record::write_file(path, serialize_repro(repro));
 }
 
 std::optional<Repro> load_repro(const std::string& path, std::string* err) {
-  std::ifstream in(path);
-  if (!in) {
-    if (err != nullptr) *err = "cannot open " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_repro(buffer.str(), err);
+  const auto text = record::read_file(path, err);
+  return text.has_value() ? parse_repro(*text, err) : std::nullopt;
 }
 
 ConsensusRunResult replay_repro(const Repro& repro) {

@@ -3,9 +3,9 @@
 // An artifact freezes everything a failing torture run needs to be
 // re-executed bit-for-bit in the deterministic simulator: protocol name,
 // process inputs, seed, step budget, the (minimized) schedule, and the
-// crash events. The format is a line-oriented text file — diffable,
-// hand-editable for manual bisection (see docs/TESTING.md), and stable
-// across versions via a leading version tag:
+// crash events. It is a keyed-line record (grammar, strictness and atomic
+// save: util/record_text.hpp), hand-editable for manual bisection (see
+// docs/TESTING.md):
 //
 //   bprc-repro v1
 //   protocol broken-racy
@@ -26,23 +26,20 @@
 //   schedule 0 1 0 1 1 0
 //   end
 //
-// Unknown keys are skipped (forward compatibility); `end` guards against
-// truncated files. The optional `flips` line carries the coin-flip prefix
-// the exploration driver (src/explore/) resolved by hand; replay re-forces
-// it through a ScriptedFlipTape. Artifacts found by random campaigns never
-// need it — their coins re-derive from the seed. `semantics` and
-// `stale-reads` exist only for weak-register artifacts (both omitted under
-// atomic, so pre-existing artifacts and their byte-identity tests are
-// untouched); replay re-forces the recorded choices through
-// ScriptedAdversary::set_stale_script. A `semantics` value this build does
-// not recognize is rejected with a diagnostic, never guessed at — the same
-// hardening as the n>64 bitmask guard.
+// Unknown keys are skipped (forward compatibility). `flips` carries the
+// coin-flip prefix the exploration driver (src/explore/) resolved by hand;
+// replay re-forces it through a ScriptedFlipTape. `semantics` and
+// `stale-reads` exist only for weak-register artifacts and `space` only at
+// a non-default budget, so older artifacts keep their bytes. A semantics,
+// budget or failure class this build does not recognize is rejected with
+// a diagnostic, never guessed at.
 #pragma once
 
 #include <optional>
 #include <string>
 
 #include "fault/campaign.hpp"
+#include "util/record_text.hpp"
 
 namespace bprc::fault {
 
@@ -72,7 +69,7 @@ std::string serialize_repro(const Repro& repro);
 /// input (user-supplied files must not abort the process).
 std::optional<Repro> parse_repro(const std::string& text, std::string* err);
 
-/// File convenience wrappers. save returns false on I/O failure.
+/// File wrappers over record::read_file / record::write_file (atomic).
 bool save_repro(const std::string& path, const Repro& repro);
 std::optional<Repro> load_repro(const std::string& path, std::string* err);
 
@@ -83,5 +80,30 @@ ConsensusRunResult replay_repro(const Repro& repro);
 Repro make_repro(const TortureFailure& fail,
                  const std::vector<ProcId>& schedule,
                  const std::vector<CrashPlanAdversary::Crash>& crashes);
+
+// ---- The TortureRun block ----------------------------------------------
+// Shared by `.bprc-repro` and the shard wire's failure block
+// (src/shard/wire.cpp). The two keep their historical line orders, so
+// each writer calls the per-line emitters itself.
+
+/// Parses the current line into `run` if its key belongs to the block
+/// (protocol, inputs, adversary, plan-crash, seed, max-steps, semantics,
+/// space): true if it parsed; nullopt for any other key.
+std::optional<bool> read_run_line(record::Reader& r, TortureRun* run);
+/// Readers shared with the formats around the block: an `at_step victim`
+/// crash, appended; stale-read choices (each >= 0); a failure-class name.
+bool read_crash(record::Reader& r,
+                std::vector<CrashPlanAdversary::Crash>* out);
+bool read_stales(record::Reader& r, std::vector<int>* out);
+bool read_failure_class(record::Reader& r, FailureClass* out);
+
+/// Emitters: protocol/inputs/adversary; seed/max-steps; semantics; space
+/// (nothing at the default budget); one `<key> at_step victim` per crash.
+void write_run_head(record::Writer& w, const TortureRun& run);
+void write_run_limits(record::Writer& w, const TortureRun& run);
+void write_semantics(record::Writer& w, const TortureRun& run);
+void write_space(record::Writer& w, const TortureRun& run);
+void write_crashes(record::Writer& w, std::string_view key,
+                   const std::vector<CrashPlanAdversary::Crash>& crashes);
 
 }  // namespace bprc::fault

@@ -1,12 +1,6 @@
 #include "shard/wire.hpp"
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include <unistd.h>
-
+#include "fault/repro.hpp"
 #include "util/assert.hpp"
 
 namespace bprc::shard {
@@ -14,255 +8,127 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 5;  // 1 type byte + u32le length
 
-bool write_all(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t wrote = ::write(fd, data, len);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += static_cast<std::size_t>(wrote);
-    len -= static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
-
-bool reason_from_string(const std::string& name, RunResult::Reason* out) {
-  for (const RunResult::Reason r :
+bool read_reason(record::Reader& r, RunResult::Reason* out) {
+  std::string name;
+  if (!r.word(&name)) return false;
+  for (const RunResult::Reason reason :
        {RunResult::Reason::kAllDone, RunResult::Reason::kBudget,
         RunResult::Reason::kNoRunnable, RunResult::Reason::kDeadline}) {
-    if (name == to_string(r)) {
-      *out = r;
+    if (name == to_string(reason)) {
+      *out = reason;
       return true;
     }
   }
-  return false;
-}
-
-bool class_from_string(const std::string& name, FailureClass* out) {
-  // failure_class_from_string maps unknown names to kNone; distinguish a
-  // genuine "none" from garbage by round-tripping.
-  const FailureClass f = failure_class_from_string(name);
-  if (f == FailureClass::kNone && name != to_string(FailureClass::kNone)) {
-    return false;
-  }
-  *out = f;
-  return true;
-}
-
-void set_err(std::string* err, const std::string& what) {
-  if (err != nullptr) *err = what;
-}
-
-/// Line-level parse state shared by parse_record and parse_shard_file.
-struct LineParser {
-  std::istringstream in;
-  std::string line;
-
-  explicit LineParser(const std::string& text) : in(text) {}
-
-  bool next_line() { return static_cast<bool>(std::getline(in, line)); }
-
-  /// True when `line` parsed fully as `key` + the fields the caller
-  /// consumed; callers check fields themselves via this stream.
-  std::istringstream fields_after(const std::string& key) {
-    std::istringstream fields(line);
-    std::string k;
-    fields >> k;
-    BPRC_REQUIRE(k == key, "wire parse state confusion");
-    return fields;
-  }
-};
-
-bool trailing_garbage(std::istringstream& fields) {
-  std::string extra;
-  return static_cast<bool>(fields >> extra);
-}
-
-void emit_vec_line(std::ostringstream& out, const char* key,
-                   const std::vector<int>& v) {
-  out << key;
-  for (const int x : v) out << ' ' << x;
-  out << '\n';
+  return r.malformed("unknown reason");
 }
 
 // ---- failure block -------------------------------------------------------
 
-void serialize_failure(std::ostringstream& out, const fault::TortureFailure& f) {
-  out << "failure-begin\n";
-  out << "protocol " << f.run.protocol << '\n';
-  emit_vec_line(out, "inputs", f.run.inputs);
-  out << "adversary " << f.run.adversary << '\n';
-  for (const auto& c : f.run.crash_plan) {
-    out << "plan-crash " << c.at_step << ' ' << c.victim << '\n';
-  }
-  out << "seed " << f.run.seed << '\n';
-  out << "max-steps " << f.run.max_steps << '\n';
+void write_failure(record::Writer& w, const fault::TortureFailure& f) {
+  w.line("failure-begin");
+  fault::write_run_head(w, f.run);
+  fault::write_crashes(w, "plan-crash", f.run.crash_plan);
+  fault::write_run_limits(w, f.run);
   // Unlike the user-facing repro format, the wire peers are always the
-  // same binary, so the semantics line is unconditional (simpler parse).
-  out << "semantics " << to_string(f.run.semantics) << '\n';
-  // The space line stays conditional even on the wire: failure blocks
-  // are embedded in `.bprc-shard` FILES, whose historical bytes the
-  // fixture tests pin, and the canonical budget text round-trips through
-  // SpaceBudget::parse either way.
-  if (!f.run.space.is_default()) {
-    out << "space " << f.run.space.to_string() << '\n';
-  }
-  out << "fail-class " << to_string(f.failure) << '\n';
-  out << "fail-reason " << to_string(f.reason) << '\n';
-  out << "schedule";
-  for (const ProcId p : f.schedule) out << ' ' << p;
-  out << '\n';
-  if (!f.stales.empty()) emit_vec_line(out, "stales", f.stales);
-  for (const auto& c : f.crashes) {
-    out << "crash " << c.at_step << ' ' << c.victim << '\n';
-  }
+  // same binary, so the semantics line is unconditional. The space line
+  // stays conditional: failure blocks are embedded in `.bprc-shard`
+  // FILES, whose historical bytes the fixture tests pin.
+  fault::write_semantics(w, f.run);
+  fault::write_space(w, f.run);
+  w.line("fail-class", to_string(f.failure));
+  w.line("fail-reason", to_string(f.reason));
+  w.line("schedule", f.schedule);
+  if (!f.stales.empty()) w.line("stales", f.stales);
+  fault::write_crashes(w, "crash", f.crashes);
   const ConsensusRunResult& r = f.result;
-  out << "res-flags " << r.all_decided << ' ' << r.consistent << ' '
-      << r.valid << ' ' << r.bounded_ok << '\n';
-  emit_vec_line(out, "res-decisions", r.decisions);
-  out << "res-rounds";
-  for (const std::int64_t x : r.decision_rounds) out << ' ' << x;
-  out << '\n';
-  out << "res-steps " << r.total_steps << ' ' << r.max_proc_steps << '\n';
-  out << "res-max-round " << r.max_round << '\n';
-  out << "res-footprint " << r.footprint.bounded << ' '
-      << r.footprint.max_round_stored << ' ' << r.footprint.max_counter << ' '
-      << r.footprint.coin_locations << ' ' << r.footprint.static_bound << '\n';
-  out << "res-reason " << to_string(r.reason) << '\n';
-  out << "failure-end\n";
+  const MemoryFootprint& fp = r.footprint;
+  w.line("res-flags", r.all_decided, r.consistent, r.valid, r.bounded_ok);
+  w.line("res-decisions", r.decisions);
+  w.line("res-rounds", r.decision_rounds);
+  w.line("res-steps", r.total_steps, r.max_proc_steps);
+  w.line("res-max-round", r.max_round);
+  w.line("res-footprint", fp.bounded, fp.max_round_stored, fp.max_counter,
+         fp.coin_locations, fp.static_bound);
+  w.line("res-reason", to_string(r.reason));
+  w.line("failure-end");
 }
 
-/// Parses the lines after a `failure-begin` up to `failure-end`. The wire
-/// peers are the same binary, so unknown keys are an error, not a skip.
-bool parse_failure(LineParser& p, fault::TortureFailure* f, std::string* err) {
-  while (p.next_line()) {
-    std::istringstream fields(p.line);
-    std::string key;
-    if (!(fields >> key)) continue;  // blank line
-    if (key == "failure-end") return true;
-    bool bad = false;
-    if (key == "protocol") {
-      bad = !(fields >> f->run.protocol) || trailing_garbage(fields);
-    } else if (key == "inputs") {
-      int x = 0;
-      while (fields >> x) f->run.inputs.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "adversary") {
-      bad = !(fields >> f->run.adversary) || trailing_garbage(fields);
-    } else if (key == "plan-crash") {
-      CrashPlanAdversary::Crash c{};
-      bad = !(fields >> c.at_step >> c.victim) || trailing_garbage(fields);
-      if (!bad) f->run.crash_plan.push_back(c);
-    } else if (key == "seed") {
-      bad = !(fields >> f->run.seed) || trailing_garbage(fields);
-    } else if (key == "max-steps") {
-      bad = !(fields >> f->run.max_steps) || trailing_garbage(fields);
-    } else if (key == "semantics") {
-      std::string name;
-      bad = !(fields >> name) || trailing_garbage(fields) ||
-            !register_semantics_from_string(name, &f->run.semantics);
-    } else if (key == "space") {
-      std::string rest;
-      std::getline(fields, rest);
-      std::string why;
-      const auto parsed = SpaceBudget::parse(rest, &why);
-      bad = !parsed.has_value();
-      if (!bad) f->run.space = *parsed;
-    } else if (key == "stales") {
-      int x = 0;
-      while (fields >> x) f->stales.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "fail-class") {
-      std::string name;
-      bad = !(fields >> name) || trailing_garbage(fields) ||
-            !class_from_string(name, &f->failure);
-    } else if (key == "fail-reason") {
-      std::string name;
-      bad = !(fields >> name) || trailing_garbage(fields) ||
-            !reason_from_string(name, &f->reason);
-    } else if (key == "schedule") {
-      ProcId x = 0;
-      while (fields >> x) f->schedule.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "crash") {
-      CrashPlanAdversary::Crash c{};
-      bad = !(fields >> c.at_step >> c.victim) || trailing_garbage(fields);
-      if (!bad) f->crashes.push_back(c);
-    } else if (key == "res-flags") {
-      ConsensusRunResult& r = f->result;
-      bad = !(fields >> r.all_decided >> r.consistent >> r.valid >>
-              r.bounded_ok) ||
-            trailing_garbage(fields);
-    } else if (key == "res-decisions") {
-      int x = 0;
-      while (fields >> x) f->result.decisions.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "res-rounds") {
-      std::int64_t x = 0;
-      while (fields >> x) f->result.decision_rounds.push_back(x);
-      bad = fields.fail() && !fields.eof();
-    } else if (key == "res-steps") {
-      bad = !(fields >> f->result.total_steps >> f->result.max_proc_steps) ||
-            trailing_garbage(fields);
-    } else if (key == "res-max-round") {
-      bad = !(fields >> f->result.max_round) || trailing_garbage(fields);
-    } else if (key == "res-footprint") {
-      MemoryFootprint& fp = f->result.footprint;
-      bad = !(fields >> fp.bounded >> fp.max_round_stored >> fp.max_counter >>
-              fp.coin_locations >> fp.static_bound) ||
-            trailing_garbage(fields);
-    } else if (key == "res-reason") {
-      std::string name;
-      bad = !(fields >> name) || trailing_garbage(fields) ||
-            !reason_from_string(name, &f->result.reason);
-    } else {
-      set_err(err, "unknown key in failure block: " + key);
-      return false;
-    }
-    if (bad) {
-      set_err(err, "malformed failure line: " + p.line);
-      return false;
-    }
+/// One line inside a failure block. The wire peers are the same binary,
+/// so unknown keys are an error, not a skip.
+bool read_failure_line(record::Reader& r, fault::TortureFailure* f) {
+  const std::string_view key = r.key();
+  if (const auto ok = fault::read_run_line(r, &f->run)) return *ok;
+  ConsensusRunResult& res = f->result;
+  MemoryFootprint& fp = res.footprint;
+  if (key == "crash") return fault::read_crash(r, &f->crashes);
+  if (!r.once()) return false;
+  if (key == "stales") return fault::read_stales(r, &f->stales);
+  if (key == "fail-class") {
+    return fault::read_failure_class(r, &f->failure) && r.eol();
   }
-  set_err(err, "failure block not terminated (missing failure-end)");
-  return false;
+  if (key == "fail-reason") return read_reason(r, &f->reason) && r.eol();
+  if (key == "schedule") return r.list(&f->schedule);
+  if (key == "res-flags") {
+    return r.flag(&res.all_decided) && r.flag(&res.consistent) &&
+           r.flag(&res.valid) && r.flag(&res.bounded_ok) && r.eol();
+  }
+  if (key == "res-decisions") return r.list(&res.decisions);
+  if (key == "res-rounds") return r.list(&res.decision_rounds);
+  if (key == "res-steps") {
+    return r.num(&res.total_steps) && r.num(&res.max_proc_steps) && r.eol();
+  }
+  if (key == "res-max-round") return r.num(&res.max_round) && r.eol();
+  if (key == "res-footprint") {
+    return r.flag(&fp.bounded) && r.num(&fp.max_round_stored) &&
+           r.num(&fp.max_counter) && r.num(&fp.coin_locations) &&
+           r.num(&fp.static_bound) && r.eol();
+  }
+  if (key == "res-reason") return read_reason(r, &res.reason) && r.eol();
+  return r.fail("unknown key in failure block: " + std::string(key));
 }
 
-/// Parses one `outcome ...` line (already in p.line); if a failure block
-/// follows, consumes it too.
-bool parse_record_at(LineParser& p, IndexedRecord* out, std::string* err) {
-  std::istringstream fields = p.fields_after("outcome");
-  fault::OutcomeRecord rec;
-  std::size_t index = 0;
-  std::string reason_name;
-  std::string class_name;
-  if (!(fields >> index >> rec.digest >> rec.steps >> reason_name >>
-        class_name) ||
-      trailing_garbage(fields) ||
-      !reason_from_string(reason_name, &rec.reason) ||
-      !class_from_string(class_name, &rec.failure)) {
-    set_err(err, "malformed outcome line: " + p.line);
-    return false;
+/// Reads the lines after `failure-begin` through `failure-end`.
+bool read_failure(record::Reader& r, fault::TortureFailure* f) {
+  r.forget_once();
+  while (r.next()) {
+    if (r.key() == "failure-end") return r.eol();
+    if (!read_failure_line(r, f)) return false;
   }
-  // Peek: does a failure block follow? (Only ever directly after its
-  // outcome line.)
-  const std::streampos before = p.in.tellg();
-  if (p.next_line()) {
-    if (p.line == "failure-begin") {
-      fault::TortureFailure f;
-      if (!parse_failure(p, &f, err)) return false;
-      rec.detail = std::move(f);
-    } else {
-      // Not ours; rewind so the caller sees this line again.
-      p.in.clear();
-      p.in.seekg(before);
+  return r.ok() &&
+         r.fail("failure block not terminated (missing failure-end)");
+}
+
+void write_record(record::Writer& w, std::size_t index,
+                  const fault::OutcomeRecord& record) {
+  w.line("outcome", index, record.digest, record.steps,
+         to_string(record.reason), to_string(record.failure));
+  if (record.detail.has_value()) write_failure(w, *record.detail);
+}
+
+/// Reads `outcome` lines, each optionally followed by its failure block,
+/// until the text or the record (`end`) ends.
+bool read_records(record::Reader& r, std::vector<IndexedRecord>* out) {
+  while (r.next() && !r.at_end()) {
+    if (r.key() == "failure-begin" && !out->empty() &&
+        !out->back().second.detail.has_value()) {
+      if (!r.eol() || !read_failure(r, &out->back().second.detail.emplace())) {
+        return false;
+      }
+      continue;
     }
-  } else {
-    p.in.clear();  // EOF right after the outcome line is fine
+    if (r.key() != "outcome") {
+      return r.fail("expected an outcome line, got: " + std::string(r.line()));
+    }
+    IndexedRecord rec;
+    fault::OutcomeRecord& o = rec.second;
+    if (!(r.num(&rec.first) && r.num(&o.digest) && r.num(&o.steps) &&
+          read_reason(r, &o.reason) &&
+          fault::read_failure_class(r, &o.failure) && r.eol())) {
+      return false;
+    }
+    out->push_back(std::move(rec));
   }
-  *out = {index, std::move(rec)};
-  return true;
+  return r.ok();
 }
 
 }  // namespace
@@ -279,8 +145,8 @@ bool write_frame(int fd, MsgType type, const std::string& payload) {
   // Two write calls: the frame need not be atomic on the pipe because
   // each fd has exactly one reader buffering into a FrameReader, and
   // writers on the same fd hold a mutex around the whole call.
-  if (!write_all(fd, header, kHeaderBytes)) return false;
-  return write_all(fd, payload.data(), payload.size());
+  return record::write_all(fd, header, kHeaderBytes) &&
+         record::write_all(fd, payload.data(), payload.size());
 }
 
 std::optional<Frame> FrameReader::next() {
@@ -299,169 +165,92 @@ std::optional<Frame> FrameReader::next() {
 
 std::string serialize_record(std::size_t index,
                              const fault::OutcomeRecord& record) {
-  std::ostringstream out;
-  out << "outcome " << index << ' ' << record.digest << ' ' << record.steps
-      << ' ' << to_string(record.reason) << ' ' << to_string(record.failure)
-      << '\n';
-  if (record.detail.has_value()) serialize_failure(out, *record.detail);
-  return out.str();
+  record::Writer w;
+  write_record(w, index, record);
+  return w.take();
 }
 
 std::optional<IndexedRecord> parse_record(const std::string& text,
                                           std::string* err) {
-  LineParser p(text);
-  if (!p.next_line() || p.line.rfind("outcome ", 0) != 0) {
-    set_err(err, "record does not start with an outcome line");
+  record::Reader r(text, "bprc-shard record", err);
+  std::vector<IndexedRecord> records;
+  if (!read_records(r, &records)) return std::nullopt;
+  if (records.size() != 1) {
+    r.fail_record("expected exactly one outcome record");
     return std::nullopt;
   }
-  IndexedRecord rec;
-  if (!parse_record_at(p, &rec, err)) return std::nullopt;
-  // Anything after the record is garbage.
-  while (p.next_line()) {
-    if (!p.line.empty()) {
-      set_err(err, "trailing data after record: " + p.line);
-      return std::nullopt;
-    }
-  }
-  return rec;
+  return std::move(records.front());
 }
 
 std::string serialize_shard_file(const ShardFile& shard) {
-  std::ostringstream out;
-  out << "bprc-shard v1\n";
-  out << "fingerprint " << shard.fingerprint << '\n';
-  out << "total-runs " << shard.total_runs << '\n';
-  out << "max-failures " << shard.max_failures << '\n';
-  out << "skipped-crash-cells " << shard.skipped_crash_cells << '\n';
+  record::Writer w;
+  w.header("bprc-shard", 1);
+  w.line("fingerprint", shard.fingerprint);
+  w.line("total-runs", shard.total_runs);
+  w.line("max-failures", shard.max_failures);
+  w.line("skipped-crash-cells", shard.skipped_crash_cells);
+  // Optional lines, omitted at zero so shard files of atomic-only,
+  // single-budget campaigns keep their historical bytes.
   if (shard.skipped_safe_cells != 0) {
-    // Optional line (weak-register campaigns only): omitted when zero so
-    // atomic-only shard files keep their historical bytes.
-    out << "skipped-safe-cells " << shard.skipped_safe_cells << '\n';
+    w.line("skipped-safe-cells", shard.skipped_safe_cells);
   }
   if (shard.skipped_space_cells != 0) {
-    // Optional line (multi-budget campaigns only): same byte-stability
-    // contract as skipped-safe-cells.
-    out << "skipped-space-cells " << shard.skipped_space_cells << '\n';
+    w.line("skipped-space-cells", shard.skipped_space_cells);
   }
-  out << "range " << shard.begin << ' ' << shard.end << '\n';
+  w.line("range", shard.begin, shard.end);
   for (const IndexedRecord& rec : shard.records) {
-    out << serialize_record(rec.first, rec.second);
+    write_record(w, rec.first, rec.second);
   }
-  out << "end\n";
-  return out.str();
+  w.line("end");
+  return w.take();
 }
 
 std::optional<ShardFile> parse_shard_file(const std::string& text,
                                           std::string* err) {
-  LineParser p(text);
+  record::Reader r(text, "bprc-shard", err);
   ShardFile shard;
-  if (!p.next_line() || p.line != "bprc-shard v1") {
-    set_err(err, "not a bprc-shard v1 file");
-    return std::nullopt;
-  }
   // Fixed header order — this is machine output, not hand-written.
-  const auto header_u64 = [&](const char* key, std::uint64_t* out) {
-    if (!p.next_line()) return false;
-    std::istringstream fields(p.line);
-    std::string k;
-    return static_cast<bool>(fields >> k) && k == key &&
-           static_cast<bool>(fields >> *out) && !trailing_garbage(fields);
+  const auto u64_line = [&](std::string_view key, std::uint64_t* out) {
+    return r.next() && r.key() == key && r.num(out) && r.eol();
   };
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  bool ok = header_u64("fingerprint", &shard.fingerprint) &&
-            header_u64("total-runs", &shard.total_runs) &&
-            header_u64("max-failures", &shard.max_failures) &&
-            header_u64("skipped-crash-cells", &shard.skipped_crash_cells);
-  if (ok) {
-    ok = p.next_line();
-    // Optional weak-register line between the fixed header and the range
-    // (written only by campaigns that skipped kSafe cells).
-    if (ok && p.line.rfind("skipped-safe-cells", 0) == 0) {
-      std::istringstream fields(p.line);
-      std::string k;
-      ok = static_cast<bool>(fields >> k >> shard.skipped_safe_cells) &&
-           !trailing_garbage(fields);
-      if (ok) ok = p.next_line();
-    }
-    // Optional space-lane line, in the same slot (written only by
-    // campaigns that skipped space-insensitive cells).
-    if (ok && p.line.rfind("skipped-space-cells", 0) == 0) {
-      std::istringstream fields(p.line);
-      std::string k;
-      ok = static_cast<bool>(fields >> k >> shard.skipped_space_cells) &&
-           !trailing_garbage(fields);
-      if (ok) ok = p.next_line();
-    }
-    if (ok) {
-      std::istringstream fields(p.line);
-      std::string k;
-      ok = static_cast<bool>(fields >> k) && k == "range" &&
-           static_cast<bool>(fields >> begin >> end) &&
-           !trailing_garbage(fields) && begin <= end &&
-           end <= shard.total_runs;
-    }
-  }
-  if (!ok) {
-    set_err(err, "malformed shard header at: " + p.line);
+  const auto optional_line = [&](std::string_view key, std::uint64_t* out) {
+    return r.key() != key || (r.num(out) && r.eol() && r.next());
+  };
+  if (!(r.header(1) && u64_line("fingerprint", &shard.fingerprint) &&
+        u64_line("total-runs", &shard.total_runs) &&
+        u64_line("max-failures", &shard.max_failures) &&
+        u64_line("skipped-crash-cells", &shard.skipped_crash_cells) &&
+        r.next() &&
+        optional_line("skipped-safe-cells", &shard.skipped_safe_cells) &&
+        optional_line("skipped-space-cells", &shard.skipped_space_cells) &&
+        r.key() == "range" && r.num(&shard.begin) && r.num(&shard.end) &&
+        r.eol() && shard.begin <= shard.end &&
+        shard.end <= shard.total_runs)) {
+    r.fail("malformed shard header at: " + std::string(r.line()));
     return std::nullopt;
   }
-  shard.begin = static_cast<std::size_t>(begin);
-  shard.end = static_cast<std::size_t>(end);
-
-  bool terminated = false;
-  std::size_t expect = shard.begin;
-  while (p.next_line()) {
-    if (p.line.empty()) continue;
-    if (p.line == "end") {
-      terminated = true;
-      break;
-    }
-    if (p.line.rfind("outcome ", 0) != 0) {
-      set_err(err, "expected an outcome line, got: " + p.line);
-      return std::nullopt;
-    }
-    IndexedRecord rec;
-    if (!parse_record_at(p, &rec, err)) return std::nullopt;
-    if (rec.first != expect) {
-      set_err(err, "record index " + std::to_string(rec.first) +
-                       " out of order (expected " + std::to_string(expect) +
-                       ")");
-      return std::nullopt;
-    }
-    ++expect;
-    shard.records.push_back(std::move(rec));
+  if (!read_records(r, &shard.records) || !r.finish()) return std::nullopt;
+  // The records must be exactly begin, begin+1, ..., end-1.
+  bool dense = shard.records.size() == shard.end - shard.begin;
+  for (std::size_t i = 0; dense && i < shard.records.size(); ++i) {
+    dense = shard.records[i].first == shard.begin + i;
   }
-  if (!terminated) {
-    set_err(err, "shard file truncated (missing end marker)");
-    return std::nullopt;
-  }
-  if (expect != shard.end) {
-    set_err(err, "shard covers [" + std::to_string(shard.begin) + ", " +
-                     std::to_string(shard.end) + ") but has records up to " +
-                     std::to_string(expect));
+  if (!dense) {
+    r.fail_record("records do not cover [" + std::to_string(shard.begin) +
+                  ", " + std::to_string(shard.end) + ") in order");
     return std::nullopt;
   }
   return shard;
 }
 
 bool save_shard_file(const std::string& path, const ShardFile& shard) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << serialize_shard_file(shard);
-  return static_cast<bool>(out.flush());
+  return record::write_file(path, serialize_shard_file(shard));
 }
 
 std::optional<ShardFile> load_shard_file(const std::string& path,
                                          std::string* err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    set_err(err, "cannot open shard file: " + path);
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_shard_file(text.str(), err);
+  const auto text = record::read_file(path, err);
+  return text.has_value() ? parse_shard_file(*text, err) : std::nullopt;
 }
 
 }  // namespace bprc::shard

@@ -10,12 +10,14 @@
 //     resumes the dead worker's range from the first index it has no
 //     complete frame for;
 //
-//   * a line-oriented *record* text (the frame payloads, and the body of
-//     `.bprc-shard` files written by `bprc_torture --shard i/k`): one
-//     `outcome` line per executed spec index carrying the per-run digest
-//     and classification, plus — for failures only — an embedded block
-//     with the full recorded trace, so the merge side can shrink and
-//     persist artifacts without re-executing anything.
+//   * a keyed-line *record* text (util/record_text.hpp; the frame
+//     payloads, and the body of `.bprc-shard` files written by
+//     `bprc_torture --shard i/k`): one `outcome` line per executed spec
+//     index carrying the per-run digest and classification, plus — for
+//     failures only — a `failure-begin`..`failure-end` block with the
+//     full recorded trace (the TortureRun block of fault/repro.hpp plus
+//     the result), so the merge side can shrink and persist artifacts
+//     without re-executing anything. Unknown keys are refused.
 //
 // A shard never ships raw schedules for passing runs: the campaign
 // digest is a chain of per-run digests (fault::outcome_digest), so 8
@@ -83,15 +85,10 @@ struct ShardFile {
   std::uint64_t total_runs = 0;    ///< full matrix size (all shards)
   std::uint64_t max_failures = 0;  ///< fold early-stop threshold
   std::uint64_t skipped_crash_cells = 0;  ///< whole-matrix skip count
-  /// Whole-matrix kSafe skip count (campaign.hpp). Serialized only when
-  /// nonzero, so shard files from atomic-only campaigns — including
-  /// every file written before the weak-register lane existed — keep
-  /// their historical bytes.
+  /// Whole-matrix kSafe and space-insensitivity skip counts
+  /// (campaign.hpp). Written only when nonzero, so shard files of
+  /// atomic-only, single-budget campaigns keep their historical bytes.
   std::uint64_t skipped_safe_cells = 0;
-  /// Whole-matrix space-insensitivity skip count (campaign.hpp). Same
-  /// contract: serialized only when nonzero, so single-budget campaigns
-  /// — every file written before the space lane existed — keep their
-  /// historical bytes.
   std::uint64_t skipped_space_cells = 0;
   std::size_t begin = 0;           ///< executed index range [begin, end)
   std::size_t end = 0;
@@ -102,7 +99,7 @@ std::string serialize_shard_file(const ShardFile& shard);
 std::optional<ShardFile> parse_shard_file(const std::string& text,
                                           std::string* err);
 
-/// File wrappers; save returns false on I/O failure.
+/// File wrappers over record::read_file / record::write_file (atomic).
 bool save_shard_file(const std::string& path, const ShardFile& shard);
 std::optional<ShardFile> load_shard_file(const std::string& path,
                                          std::string* err);

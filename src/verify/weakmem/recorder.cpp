@@ -1,123 +1,109 @@
 #include "verify/weakmem/recorder.hpp"
 
-#include <fstream>
-#include <sstream>
+#include "util/record_text.hpp"
 
 namespace bprc::weakmem {
 
 namespace {
-constexpr const char* kHeader = "bprc-weakmem v1";
+constexpr const char* kFormat = "bprc-weakmem";
+constexpr int kVersion = 1;
+constexpr std::string_view kKinds = "LSR";  // indexed by MemAction::Kind
 
-char kind_char(MemAction::Kind k) {
-  switch (k) {
-    case MemAction::Kind::kLoad:  return 'L';
-    case MemAction::Kind::kStore: return 'S';
-    case MemAction::Kind::kRmw:   return 'R';
+bool read_action(record::Reader& r, Recording* rec) {
+  MemAction a;
+  std::string kind;
+  if (!(r.num(&a.thread) && r.num(&a.seq) && r.num(&a.location) &&
+        r.word(&kind) && r.num(&a.order) && r.num(&a.value) && r.num(&a.rf) &&
+        r.num(&a.mo) && r.eol())) {
+    return false;
   }
-  return '?';
+  const std::size_t k = kind.size() == 1 ? kKinds.find(kind[0]) : kKinds.npos;
+  if (k == kKinds.npos) return r.malformed("unknown kind");
+  if (a.thread < 0 || static_cast<std::size_t>(a.thread) >= rec->logs.size()) {
+    return r.malformed("thread out of range");
+  }
+  a.kind = static_cast<MemAction::Kind>(k);
+  rec->logs[static_cast<std::size_t>(a.thread)].push_back(a);
+  return true;
 }
 
-bool kind_from_char(char c, MemAction::Kind& out) {
-  switch (c) {
-    case 'L': out = MemAction::Kind::kLoad;  return true;
-    case 'S': out = MemAction::Kind::kStore; return true;
-    case 'R': out = MemAction::Kind::kRmw;   return true;
-    default:  return false;
+bool read_line(record::Reader& r, Recording* rec, std::size_t* actions) {
+  const std::string_view key = r.key();
+  if (key == "act") return read_action(r, rec);
+  if (key == "loc") {
+    std::size_t id = 0;
+    Recording::Location loc;
+    if (!(r.num(&id) && r.num(&loc.initial))) return false;
+    if (id != rec->locations.size()) return r.malformed("ids are dense");
+    loc.name = r.rest();
+    rec->locations.push_back(std::move(loc));
+    return true;
   }
+  if (!r.once()) return false;
+  if (key == "case") {
+    if (!(r.word(&rec->case_name) && r.eol())) return false;
+    if (rec->case_name == "-") rec->case_name.clear();
+    return true;
+  }
+  if (key == "threads") {
+    std::size_t k = 0;
+    if (!(r.num(&k) && r.eol())) return false;
+    if (k > 4096) return r.malformed("at most 4096 threads");
+    rec->logs.resize(k);
+    return true;
+  }
+  std::size_t count = 0;
+  if (key == "locations") return r.num(&count) && r.eol();
+  if (key == "actions") return r.num(actions) && r.eol();
+  return r.fail("unknown key: " + std::string(key));
 }
+
 }  // namespace
 
 bool save_recording(const Recording& rec, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << kHeader << "\n";
-  out << "case " << (rec.case_name.empty() ? "-" : rec.case_name) << "\n";
-  out << "threads " << rec.logs.size() << "\n";
-  out << "locations " << rec.locations.size() << "\n";
+  record::Writer w;
+  w.header(kFormat, kVersion);
+  w.line("case", rec.case_name.empty() ? "-" : rec.case_name);
+  w.line("threads", rec.logs.size());
+  w.line("locations", rec.locations.size());
   for (std::size_t i = 0; i < rec.locations.size(); ++i) {
-    out << "loc " << i << " " << rec.locations[i].initial << " "
-        << rec.locations[i].name << "\n";
+    w.line("loc", i, rec.locations[i].initial, rec.locations[i].name);
   }
-  out << "actions " << rec.total_actions() << "\n";
+  w.line("actions", rec.total_actions());
   for (const auto& log : rec.logs) {
     for (const MemAction& a : log) {
-      out << "act " << a.thread << " " << a.seq << " " << a.location << " "
-          << kind_char(a.kind) << " " << static_cast<int>(a.order) << " "
-          << a.value << " " << a.rf << " " << a.mo << "\n";
+      w.line("act", a.thread, a.seq, a.location,
+             kKinds[static_cast<std::size_t>(a.kind)],
+             static_cast<int>(a.order), a.value, a.rf, a.mo);
     }
   }
-  out << "end\n";
-  return static_cast<bool>(out);
+  w.line("end");
+  return record::write_file(path, w.take());
 }
 
-std::optional<Recording> load_recording(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line) || line != kHeader) return std::nullopt;
-
+std::optional<Recording> load_recording(const std::string& path,
+                                        std::string* err) {
+  const auto text = record::read_file(path, err);
+  if (!text.has_value()) return std::nullopt;
+  record::Reader r(*text, kFormat, err);
   Recording rec;
-  std::size_t expected_actions = 0;
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    std::istringstream ss(line);
-    std::string tag;
-    ss >> tag;
-    if (tag.empty()) continue;
-    if (tag == "case") {
-      ss >> rec.case_name;
-      if (rec.case_name == "-") rec.case_name.clear();
-    } else if (tag == "threads") {
-      std::size_t k = 0;
-      if (!(ss >> k) || k > 4096) return std::nullopt;
-      rec.logs.resize(k);
-    } else if (tag == "locations") {
-      std::size_t m = 0;
-      if (!(ss >> m)) return std::nullopt;
-      rec.locations.reserve(m);
-    } else if (tag == "loc") {
-      std::size_t id = 0;
-      Recording::Location loc;
-      if (!(ss >> id >> loc.initial)) return std::nullopt;
-      std::getline(ss, loc.name);
-      if (!loc.name.empty() && loc.name.front() == ' ') loc.name.erase(0, 1);
-      if (id != rec.locations.size()) return std::nullopt;
-      rec.locations.push_back(std::move(loc));
-    } else if (tag == "actions") {
-      if (!(ss >> expected_actions)) return std::nullopt;
-    } else if (tag == "act") {
-      MemAction a;
-      int order = 0;
-      char kind = '?';
-      if (!(ss >> a.thread >> a.seq >> a.location >> kind >> order >>
-            a.value >> a.rf >> a.mo)) {
-        return std::nullopt;
-      }
-      if (!kind_from_char(kind, a.kind)) return std::nullopt;
-      if (a.thread < 0 ||
-          static_cast<std::size_t>(a.thread) >= rec.logs.size()) {
-        return std::nullopt;
-      }
-      a.order = static_cast<std::uint8_t>(order);
-      rec.logs[static_cast<std::size_t>(a.thread)].push_back(a);
-    } else if (tag == "end") {
-      saw_end = true;
-      break;
-    } else {
-      return std::nullopt;  // unknown tag: refuse rather than misparse
-    }
+  std::size_t actions = 0;
+  if (!r.header(kVersion)) return std::nullopt;
+  while (r.next() && !r.at_end()) {
+    if (!read_line(r, &rec, &actions)) return std::nullopt;
   }
-  if (!saw_end || rec.total_actions() != expected_actions) {
+  if (!r.finish()) return std::nullopt;
+  if (rec.total_actions() != actions) {
+    r.fail_record("action count does not match the actions line");
     return std::nullopt;
   }
   return rec;
 }
 
 bool is_weakmem_artifact(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  return std::getline(in, line) && line == kHeader;
+  const auto text = record::read_file(path, nullptr);
+  return text.has_value() &&
+         record::Reader(*text, kFormat, nullptr).header(kVersion);
 }
 
 }  // namespace bprc::weakmem

@@ -75,12 +75,16 @@ class WeakMemRecorder final : public MemActionSink {
   Recording rec_;
 };
 
-/// Writes `rec` as a `.bprc-weakmem` v1 artifact (line-oriented text).
+/// Writes `rec` as a `.bprc-weakmem` v1 artifact, a keyed-line record
+/// (util/record_text.hpp; unknown keys are refused): `case`, `threads`,
+/// `locations`, one `loc id initial name` per location, `actions`, one
+/// `act thread seq location L|S|R order value rf mo` per action, `end`.
 /// Returns false on I/O failure.
 bool save_recording(const Recording& rec, const std::string& path);
 
-/// Parses a `.bprc-weakmem` artifact; nullopt on malformed input.
-std::optional<Recording> load_recording(const std::string& path);
+/// Parses a `.bprc-weakmem` artifact; nullopt + `err` on malformed input.
+std::optional<Recording> load_recording(const std::string& path,
+                                        std::string* err);
 
 /// True if the file at `path` starts with the weakmem artifact header
 /// (used by bprc_torture --replay to dispatch on artifact kind).

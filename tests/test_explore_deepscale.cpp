@@ -1,15 +1,23 @@
 // Tests for the explorer's deep-scale layers (src/explore/): engine-
 // batched leaf grading (digest byte-equality across jobs levels), the
-// compact seen-state cache (layout parity, budgeted eviction), frontier
+// compact seen-state cache (map parity, budgeted eviction), frontier
 // checkpoint/resume (resumed digest == uninterrupted digest), frontier
 // splitting, and fork-isolated grading of process-killing protocols.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "explore/consensus_explore.hpp"
 #include "explore/explorer.hpp"
@@ -47,32 +55,20 @@ ConsensusExploreReport run_cell(const std::string& protocol,
 // ---------------------------------------------------------------------------
 
 TEST(DeepScale, DigestIsInvariantAcrossJobsAndCacheLayout) {
-  // The full cross-matrix the deep-scale contract promises: serial vs
-  // batched grading × map vs compact cache, all four byte-identical.
+  // Serial vs batched grading must land on the same digest, and that
+  // digest is pinned: it is the value the retired unordered_map cache
+  // layout produced too, so dropping it changed no merge decision.
   const ExploreLimits base = cell_limits(12);
-  ConsensusExploreReport reference;
-  bool first = true;
   for (const unsigned jobs : {1u, 4u}) {
-    for (const bool compact : {false, true}) {
-      ExploreLimits limits = base;
-      limits.grade_jobs = jobs;
-      limits.compact_cache = compact;
-      const ConsensusExploreReport report =
-          run_cell("bprc", {0, 1, 1}, limits);
-      ASSERT_TRUE(report.ok());
-      ASSERT_TRUE(report.stats.complete);
-      if (first) {
-        reference = report;
-        first = false;
-        continue;
-      }
-      EXPECT_EQ(report.stats.schedule_digest,
-                reference.stats.schedule_digest)
-          << "jobs=" << jobs << " compact=" << compact;
-      EXPECT_EQ(report.stats.executions, reference.stats.executions);
-      EXPECT_EQ(report.stats.states_visited, reference.stats.states_visited);
-      EXPECT_EQ(report.stats.states_merged, reference.stats.states_merged);
-    }
+    ExploreLimits limits = base;
+    limits.grade_jobs = jobs;
+    const ConsensusExploreReport report = run_cell("bprc", {0, 1, 1}, limits);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report.stats.complete);
+    EXPECT_EQ(report.stats.schedule_digest, 0x2506cf466fa9d04aULL)
+        << "jobs=" << jobs;
+    EXPECT_EQ(report.stats.executions, 218u) << "jobs=" << jobs;
+    EXPECT_EQ(report.stats.states_visited, 505u) << "jobs=" << jobs;
   }
 }
 
@@ -112,27 +108,31 @@ TEST(DeepScale, EarlyStopPicksTheSameFirstViolation) {
 }
 
 // ---------------------------------------------------------------------------
-// SeenCache: layout parity, depth semantics, budgeted eviction
+// SeenCache: map parity, depth semantics, budgeted eviction
 // ---------------------------------------------------------------------------
 
 TEST(SeenCacheTest, DepthSemantics) {
-  for (const auto layout : {SeenCache::Layout::kMap,
-                            SeenCache::Layout::kCompact}) {
-    SeenCache cache(layout);
-    EXPECT_EQ(cache.visit(42, 5), SeenCache::Visit::kNew);
-    EXPECT_EQ(cache.visit(42, 5), SeenCache::Visit::kMerged);
-    EXPECT_EQ(cache.visit(42, 9), SeenCache::Visit::kMerged);
-    // Shallower revisit: the guarded subtree is larger — re-explore.
-    EXPECT_EQ(cache.visit(42, 2), SeenCache::Visit::kRedo);
-    EXPECT_EQ(cache.visit(42, 3), SeenCache::Visit::kMerged);
-    EXPECT_EQ(cache.entries(), 1u);
-  }
+  SeenCache cache(SeenCache::Layout::kCompact);
+  EXPECT_EQ(cache.visit(42, 5), SeenCache::Visit::kNew);
+  EXPECT_EQ(cache.visit(42, 5), SeenCache::Visit::kMerged);
+  EXPECT_EQ(cache.visit(42, 9), SeenCache::Visit::kMerged);
+  // Shallower revisit: the guarded subtree is larger — re-explore.
+  EXPECT_EQ(cache.visit(42, 2), SeenCache::Visit::kRedo);
+  EXPECT_EQ(cache.visit(42, 3), SeenCache::Visit::kMerged);
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 TEST(SeenCacheTest, LayoutsMakeIdenticalDecisions) {
-  // A pseudo-random visit stream must produce the identical verdict
-  // sequence in both layouts — the explorer's digest depends on it.
-  SeenCache map(SeenCache::Layout::kMap);
+  // A pseudo-random visit stream must produce the verdict sequence of the
+  // plain map reference below — the explorer's digest depends on it.
+  std::unordered_map<std::uint64_t, std::uint8_t> reference;
+  const auto reference_visit = [&](std::uint64_t key, std::uint8_t depth) {
+    const auto [it, inserted] = reference.try_emplace(key, depth);
+    if (inserted) return SeenCache::Visit::kNew;
+    if (it->second <= depth) return SeenCache::Visit::kMerged;
+    it->second = depth;
+    return SeenCache::Visit::kRedo;
+  };
   SeenCache compact(SeenCache::Layout::kCompact);
   std::uint64_t x = 0x9E3779B97F4A7C15ULL;
   for (int i = 0; i < 20'000; ++i) {
@@ -142,9 +142,9 @@ TEST(SeenCacheTest, LayoutsMakeIdenticalDecisions) {
     // Small key space forces plenty of revisits at varying depths.
     std::uint64_t key = (x % 4096) + 1;
     const std::uint8_t depth = static_cast<std::uint8_t>((x >> 20) % 32);
-    ASSERT_EQ(map.visit(key, depth), compact.visit(key, depth)) << i;
+    ASSERT_EQ(reference_visit(key, depth), compact.visit(key, depth)) << i;
   }
-  EXPECT_EQ(map.entries(), compact.entries());
+  EXPECT_EQ(reference.size(), compact.entries());
 }
 
 TEST(SeenCacheTest, CompactStaysUnderBudgetByEvicting) {
@@ -168,27 +168,24 @@ TEST(SeenCacheTest, CompactStaysUnderBudgetByEvicting) {
 }
 
 TEST(SeenCacheTest, SnapshotRestoreRoundTrips) {
-  for (const auto layout : {SeenCache::Layout::kMap,
-                            SeenCache::Layout::kCompact}) {
-    SeenCache cache(layout);
-    std::uint64_t x = 3;
-    for (int i = 0; i < 5'000; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      cache.visit(x, static_cast<std::uint8_t>(x % 17));
-    }
-    std::vector<std::pair<std::uint64_t, std::uint8_t>> snap;
-    cache.snapshot(&snap);
-    ASSERT_EQ(snap.size(), cache.entries());
-    SeenCache restored(layout);
-    restored.restore(snap);
-    EXPECT_EQ(restored.entries(), cache.entries());
-    // Every saved entry merges at its recorded depth in the restored
-    // cache — the property resume correctness rests on.
-    for (const auto& [key, depth] : snap) {
-      EXPECT_EQ(restored.visit(key, depth), SeenCache::Visit::kMerged);
-    }
+  SeenCache cache(SeenCache::Layout::kCompact);
+  std::uint64_t x = 3;
+  for (int i = 0; i < 5'000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    cache.visit(x, static_cast<std::uint8_t>(x % 17));
+  }
+  std::vector<std::pair<std::uint64_t, std::uint8_t>> snap;
+  cache.snapshot(&snap);
+  ASSERT_EQ(snap.size(), cache.entries());
+  SeenCache restored(SeenCache::Layout::kCompact);
+  restored.restore(snap);
+  EXPECT_EQ(restored.entries(), cache.entries());
+  // Every saved entry merges at its recorded depth in the restored
+  // cache — the property resume correctness rests on.
+  for (const auto& [key, depth] : snap) {
+    EXPECT_EQ(restored.visit(key, depth), SeenCache::Visit::kMerged);
   }
 }
 
@@ -291,6 +288,67 @@ TEST(FrontierTest, ParseRejectsMalformedInput) {
   // Garbage trail count.
   EXPECT_FALSE(
       parse_frontier("bprc-frontier v1\ntrail 5\nend\n", &err).has_value());
+  // Whole-line lists and fixed-arity lines: a bad element or a trailing
+  // token rejects the line, never truncates or ignores it.
+  const std::string good =
+      "bprc-frontier v1\ntrail 1\n"
+      "node s 1 2 0000000000000003 0000000000000001 0\n"
+      "violations 1\nviolation consistency\nvschedule 0 1 0 2\n"
+      "vflips 0 1\nvnote x\ncache 1\nseen 1badb002deadbeef 3\nend\n";
+  ASSERT_TRUE(parse_frontier(good, &err).has_value()) << err;
+  const std::pair<const char*, const char*> cases[] = {
+      {"vschedule 0 1 0 2\n", "vschedule 0 1 x 2\n"},
+      {"vflips 0 1\n", "vflips 0 7\n"},
+      {"0000000000000001 0\n", "0000000000000001 0 9\n"},
+      {"deadbeef 3\n", "deadbeef 3 9\n"},
+  };
+  for (const auto& [from, to] : cases) {
+    std::string text = good;
+    text.replace(text.find(from), std::string(from).size(), to);
+    err.clear();
+    EXPECT_FALSE(parse_frontier(text, &err).has_value()) << to;
+    EXPECT_FALSE(err.empty()) << to;
+  }
+}
+
+TEST(FrontierTest, SaveSurvivesSigkillMidWrite) {
+  // Checkpoints overwrite the only copy of a sweep's progress. A saver
+  // killed at any point must leave the previous frontier or the new one
+  // on disk — never a torn file that refuses to resume.
+  const std::string dir = testing::TempDir() + "frontier_sigkill";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/cut.bprc-frontier";
+  Frontier old_frontier;
+  old_frontier.fingerprint = 1;
+  Frontier new_frontier;
+  new_frontier.fingerprint = 2;
+  for (std::uint64_t i = 1; i <= 250'000; ++i) {
+    new_frontier.cache.emplace_back(i * 0x9E3779B97F4A7C15ULL,
+                                    static_cast<std::uint8_t>(i % 64));
+  }
+  // One timed save sets the kill delays, so they sweep the whole write
+  // on any machine.
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(save_frontier(dir + "/timing.bprc-frontier", new_frontier));
+  const auto full = std::chrono::steady_clock::now() - t0;
+  for (int step = 0; step < 14; ++step) {
+    ASSERT_TRUE(save_frontier(path, old_frontier));
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) _exit(save_frontier(path, new_frontier) ? 0 : 1);
+    std::this_thread::sleep_for(full * step / 8);
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    std::string err;
+    const auto loaded = load_frontier(path, &err);
+    ASSERT_TRUE(loaded.has_value()) << "kill at step " << step << ": " << err;
+    EXPECT_TRUE(loaded->fingerprint == 1 || loaded->fingerprint == 2);
+    if (loaded->fingerprint == 2) {
+      EXPECT_EQ(loaded->cache.size(), new_frontier.cache.size());
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FrontierTest, UnknownKeysAreSkippedForForwardCompat) {

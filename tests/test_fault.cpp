@@ -5,6 +5,7 @@
 #include <chrono>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -65,6 +66,27 @@ TEST(Repro, ParseRejectsMalformedInput) {
                            "seed 3\nmax-steps 100\nschedule 0 7\nend\n",
                            &err)
                    .has_value());
+  // Each line below, substituted into an otherwise valid artifact, must be
+  // refused rather than read as something else: a negative unsigned
+  // field (never 2^64-1), a trailing token after a one-word field, and a
+  // failure class this build does not know (never `none`).
+  const std::string good =
+      "bprc-repro v1\nprotocol bprc\ninputs 0 1\nadversary random\n"
+      "seed 3\nmax-steps 100\nfailure consistency\nschedule 0 1\nend\n";
+  ASSERT_TRUE(parse_repro(good, &err).has_value()) << err;
+  const std::pair<const char*, const char*> cases[] = {
+      {"seed 3\n", "seed -1\n"},
+      {"max-steps 100\n", "max-steps -5\n"},
+      {"protocol bprc\n", "protocol bprc extra\n"},
+      {"failure consistency\n", "failure no-such-class\n"},
+  };
+  for (const auto& [from, to] : cases) {
+    std::string text = good;
+    text.replace(text.find(from), std::string(from).size(), to);
+    err.clear();
+    EXPECT_FALSE(parse_repro(text, &err).has_value()) << to;
+    EXPECT_FALSE(err.empty()) << to;
+  }
 }
 
 TEST(Repro, UnknownKeysAreSkipped) {

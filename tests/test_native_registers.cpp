@@ -75,8 +75,9 @@ TEST(NativeRegisters, BrokenRelaxedIsFlaggedWithReplayableArtifact) {
   // The artifact replays to the same verdict.
   ASSERT_EQ(out.artifact, path);
   ASSERT_TRUE(weakmem::is_weakmem_artifact(path));
-  const auto loaded = weakmem::load_recording(path);
-  ASSERT_TRUE(loaded.has_value());
+  std::string err;
+  const auto loaded = weakmem::load_recording(path, &err);
+  ASSERT_TRUE(loaded.has_value()) << err;
   EXPECT_EQ(loaded->case_name, "broken-relaxed");
   const weakmem::SCResult replayed = weakmem::check_sc(*loaded);
   EXPECT_TRUE(replayed.well_formed);

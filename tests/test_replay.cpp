@@ -734,11 +734,8 @@ std::optional<std::string> reserialize(const std::filesystem::path& path,
     return explore::serialize_frontier(*frontier);
   }
   if (ext == ".bprc-weakmem") {
-    const auto rec = weakmem::load_recording(path.string());
-    if (!rec.has_value()) {
-      *err = "load_recording failed";
-      return std::nullopt;
-    }
+    const auto rec = weakmem::load_recording(path.string(), err);
+    if (!rec.has_value()) return std::nullopt;
     const std::string copy =
         testing::TempDir() + "reserialize-" + path.filename().string();
     if (!weakmem::save_recording(*rec, copy)) {

@@ -287,6 +287,18 @@ TEST(Wire, MalformedRecordsAreRejectedWithDiagnostics) {
                             "failure-begin\nwat 3\nfailure-end\n",
                             &err)
                    .has_value());
+  // A repeated single-valued line is refused, never appended (two
+  // `inputs` lines would turn n=2 into n=4) or silently overwritten.
+  const std::string text = serialize_record(7, sample_failure_record());
+  for (const char* key : {"inputs ", "seed "}) {
+    const std::size_t at = text.find(std::string("\n") + key) + 1;
+    const std::string line = text.substr(at, text.find('\n', at) + 1 - at);
+    std::string dup = text;
+    dup.insert(at, line);
+    err.clear();
+    EXPECT_FALSE(parse_record(dup, &err).has_value()) << line;
+    EXPECT_FALSE(err.empty()) << line;
+  }
 }
 
 TEST(Wire, ShardFileRoundTripIsBitIdentical) {

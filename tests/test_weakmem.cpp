@@ -6,7 +6,10 @@
 // native runs are covered by test_native_registers.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -150,8 +153,9 @@ TEST(WeakMem, ArtifactRoundTripPreservesVerdict) {
   ASSERT_TRUE(save_recording(rec.recording(), path));
   EXPECT_TRUE(is_weakmem_artifact(path));
 
-  const auto loaded = load_recording(path);
-  ASSERT_TRUE(loaded.has_value());
+  std::string err;
+  const auto loaded = load_recording(path, &err);
+  ASSERT_TRUE(loaded.has_value()) << err;
   EXPECT_EQ(loaded->case_name, "unit-sb");
   ASSERT_EQ(loaded->locations.size(), 2u);
   EXPECT_EQ(loaded->locations[1].name, "shared y");
@@ -162,6 +166,33 @@ TEST(WeakMem, ArtifactRoundTripPreservesVerdict) {
   EXPECT_EQ(after.sc, before.sc);
   EXPECT_EQ(after.well_formed, before.well_formed);
   EXPECT_EQ(after.witness, before.witness);
+
+  // A trailing token on an `act` line is refused with a diagnostic that
+  // names the line, never parsed as the action without it.
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  const std::size_t act = text.find("\nact ");
+  ASSERT_NE(act, std::string::npos);
+  const std::size_t eol = text.find('\n', act + 1);
+  const std::size_t line_no =
+      1 + static_cast<std::size_t>(
+              std::count(text.begin(), text.begin() + act + 1, '\n'));
+  text.insert(eol, " 9");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  err.clear();
+  EXPECT_FALSE(load_recording(path, &err).has_value());
+  EXPECT_FALSE(err.empty());
+  EXPECT_NE(err.find("line " + std::to_string(line_no) + ":"),
+            std::string::npos)
+      << err;
   std::remove(path.c_str());
 }
 
@@ -174,8 +205,10 @@ TEST(WeakMem, LoadRejectsGarbage) {
     fclose(f);
   }
   EXPECT_FALSE(is_weakmem_artifact(path));
-  EXPECT_FALSE(load_recording(path).has_value());
-  EXPECT_FALSE(load_recording("/nonexistent/nope").has_value());
+  std::string err;
+  EXPECT_FALSE(load_recording(path, &err).has_value());
+  EXPECT_FALSE(err.empty());
+  EXPECT_FALSE(load_recording("/nonexistent/nope", &err).has_value());
   std::remove(path.c_str());
 }
 

@@ -48,7 +48,6 @@ struct Options {
   bool sleep_sets = true;
   bool state_cache = true;
   bool reuse_runtime = true;
-  bool compact_cache = true;
   bool isolate = false;
   std::vector<std::string> protocols;
   std::vector<int> inputs;  // non-empty = explore one input cell only
@@ -113,10 +112,8 @@ void usage(std::FILE* to) {
                "                     instead of all 2^n vectors\n"
                "  --isolate          grade each leaf in a fork()ed child\n"
                "                     (crashes become worker-crash findings)\n"
-               "  --cache-map        legacy unordered_map seen-state cache\n"
-               "                     (default: compact fingerprint table)\n"
                "  --max-cache-mb M   seen-state cache budget; over it the\n"
-               "                     cache evicts deep entries (compact only)\n"
+               "                     cache evicts deep entries\n"
                "  --checkpoint-out F write a .bprc-frontier checkpoint to F\n"
                "                     (at the end, and see --checkpoint-every)\n"
                "  --checkpoint-every K  also checkpoint every K executions\n"
@@ -186,7 +183,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--max-states") { if (!(v = need_value(i))) return false; opt.max_states = std::strtoull(v, nullptr, 10); }
     else if (arg == "--jobs") { if (!(v = need_value(i))) return false; opt.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10)); }
     else if (arg == "--isolate") opt.isolate = true;
-    else if (arg == "--cache-map") opt.compact_cache = false;
     else if (arg == "--max-cache-mb") { if (!(v = need_value(i))) return false; opt.max_cache_mb = std::strtoull(v, nullptr, 10); }
     else if (arg == "--checkpoint-out") { if (!(v = need_value(i))) return false; opt.checkpoint_out = v; }
     else if (arg == "--checkpoint-every") { if (!(v = need_value(i))) return false; opt.checkpoint_every = std::strtoull(v, nullptr, 10); }
@@ -267,7 +263,6 @@ ExploreLimits build_limits(const Options& opt) {
   limits.sleep_sets = opt.sleep_sets;
   limits.state_cache = opt.state_cache;
   limits.grade_jobs = opt.jobs == 0 ? engine::default_jobs() : opt.jobs;
-  limits.compact_cache = opt.compact_cache;
   limits.max_cache_bytes = opt.max_cache_mb * 1024 * 1024;
   limits.isolate_leaves = opt.isolate;
   limits.split_index = opt.split_index;
