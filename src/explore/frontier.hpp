@@ -21,9 +21,9 @@
 //   stat digest 60f38cfeecad3890
 //   ...
 //   trail 2
-//   node s 1 2 f f 3 2 0 1 1 4 0 0 -1 0   # schedule point: chosen taken
-//                                         # candidates sleep nops (kind
-//                                         # object payload)×nops
+//   node s 1 2 000000000000000f 000000000000000f 3 2 0 1 1 4 0 0 -1 0
+//                  # schedule point: chosen taken candidates sleep nops
+//                  # (kind object payload)×nops
 //   node c 1 2                            # coin point: value taken
 //   node t 1 3 2                          # stale-read point: value
 //                                         # options taken (weakened

@@ -51,6 +51,7 @@ bool Reader::raw_line() {
   if (!ok_ || pos_ > text_.size()) return false;
   const std::size_t nl = std::min(text_.find('\n', pos_), text_.size());
   line_ = text_.substr(pos_, nl - pos_);
+  if (line_.ends_with('\r')) line_.remove_suffix(1);
   pos_ = nl + 1;
   ++line_no_;
   cursor_ = 0;

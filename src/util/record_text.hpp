@@ -5,12 +5,12 @@
 //   * Header: the first line is exactly `<format> v<version>`; another
 //     version is refused as unsupported.
 //   * Keys: every later line is `key field field ...`, single-space
-//     separated. Blank lines and `#` lines are skipped.
+//     separated, ending in LF or CRLF. Blank and `#` lines are skipped.
 //   * Strict fields: unsigned numbers take no sign (`seed -1` is an
-//     error, not 2^64-1), hex fields are 16 lowercase digits, every token
-//     parses whole, and a fixed-arity line ends after its last field. A
-//     text field that may hold spaces (`note`, `space`, `loc` names) is
-//     the rest of the line.
+//     error, not 2^64-1), every token parses whole, and a fixed-arity
+//     line ends after its last field. Hex is written as 16 lowercase
+//     digits and read as any unsigned base-16 u64. A text field that may
+//     hold spaces (`note`, `space`, `loc` names) is the rest of the line.
 //   * Whole-line lists: `schedule 0 1 0` is a list running to the end of
 //     the line, every element parsed and checked; one bad element rejects
 //     the line, never truncates it.
@@ -22,6 +22,7 @@
 //   * Atomic save: write_file writes a temp file in the target's
 //     directory, fsyncs it and renames it over the target, so a process
 //     killed mid-save leaves the old file or the new one, never a torn one.
+//     The kill may leave the temp file `<path>.tmp-<pid>-<n>`; delete it.
 //
 // Each format owns its key dispatch and unknown-key policy: repro and
 // frontier skip unknown keys (forward compatibility), shard and weakmem
@@ -176,8 +177,7 @@ class Writer {
 /// The whole file; nullopt + "cannot open <path>" on failure.
 std::optional<std::string> read_file(const std::string& path,
                                      std::string* err);
-/// Atomic save: temp file in the same directory, fsync, rename over
-/// `path`. False on any I/O failure (the target is then untouched).
+/// Atomic save, as above. False on any I/O failure (target untouched).
 bool write_file(const std::string& path, std::string_view text);
 /// write(2) / read(2) the whole buffer, retrying EINTR. False on any
 /// other error (or, reading, on EOF first).

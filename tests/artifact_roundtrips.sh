@@ -69,20 +69,27 @@ EOF
     ;;
 
   kill9)
-    cell="--protocol bprc --n 3 --inputs 0,1,1 --depth 18 --coin-flips 2"
+    # ~39k executions against a checkpoint every 500: the first periodic
+    # checkpoint lands about 1/80 of the way in, so the kill is mid-sweep.
+    cell="--protocol bprc --n 3 --inputs 0,1,1 --depth 26 --coin-flips 2"
     f="$work/kill.bprc-frontier"
     "$bin/bprc_explore" $cell --stats --checkpoint-every 500 \
       --checkpoint-out "$f" > "$work/kill.out" 2>&1 &
     pid=$!
-    for _ in $(seq 1000); do
+    for _ in $(seq 6000); do
       [ -e "$f" ] && break
       sleep 0.01
     done
     kill -9 "$pid" 2>/dev/null || true
-    wait "$pid" 2>/dev/null || true
-    resume=()
-    if [ -e "$f" ]; then resume=(--resume "$f"); fi
-    "$bin/bprc_explore" $cell --stats "${resume[@]}" \
+    status=0
+    wait "$pid" 2>/dev/null || status=$?
+    # The test is vacuous unless the kill landed on a running sweep that
+    # had left an unfinished checkpoint behind.
+    [ "$status" -eq 137 ] ||
+      { echo "sweep was not SIGKILLed (exit $status)" >&2; exit 1; }
+    grep -qx 'complete 0' "$f" ||
+      { echo "no mid-sweep checkpoint on disk" >&2; exit 1; }
+    "$bin/bprc_explore" $cell --stats --resume "$f" \
       --checkpoint-out "$f" > "$work/resumed.out"
     "$bin/bprc_explore" $cell --stats > "$work/full.out"
     same_digest 'schedule digest' "$work/full.out" "$work/resumed.out"

@@ -55,20 +55,32 @@ ConsensusExploreReport run_cell(const std::string& protocol,
 // ---------------------------------------------------------------------------
 
 TEST(DeepScale, DigestIsInvariantAcrossJobsAndCacheLayout) {
-  // Serial vs batched grading must land on the same digest, and that
-  // digest is pinned: it is the value the retired unordered_map cache
-  // layout produced too, so dropping it changed no merge decision.
-  const ExploreLimits base = cell_limits(12);
-  for (const unsigned jobs : {1u, 4u}) {
-    ExploreLimits limits = base;
-    limits.grade_jobs = jobs;
-    const ConsensusExploreReport report = run_cell("bprc", {0, 1, 1}, limits);
-    ASSERT_TRUE(report.ok());
-    ASSERT_TRUE(report.stats.complete);
-    EXPECT_EQ(report.stats.schedule_digest, 0x2506cf466fa9d04aULL)
-        << "jobs=" << jobs;
-    EXPECT_EQ(report.stats.executions, 218u) << "jobs=" << jobs;
-    EXPECT_EQ(report.stats.states_visited, 505u) << "jobs=" << jobs;
+  // Serial vs batched grading must land on the same stats, and they are
+  // pinned: they are the values the retired unordered_map cache layout
+  // produced too, so dropping it changed no merge decision. The second
+  // cell runs without sleep sets so the state cache does merge.
+  struct Pinned {
+    bool sleep_sets;
+    std::uint64_t depth, digest, executions, states, merged;
+  };
+  for (const Pinned& pin : {Pinned{true, 12, 0x2506cf466fa9d04aULL, 218, 505, 0},
+                            Pinned{false, 10, 0x81dd65f54c330d1fULL, 501, 250,
+                                   276}}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      ExploreLimits limits = cell_limits(pin.depth);
+      limits.sleep_sets = pin.sleep_sets;
+      limits.grade_jobs = jobs;
+      const ConsensusExploreReport report =
+          run_cell("bprc", {0, 1, 1}, limits);
+      ASSERT_TRUE(report.ok());
+      ASSERT_TRUE(report.stats.complete);
+      const std::string where = "depth=" + std::to_string(pin.depth) +
+                                " jobs=" + std::to_string(jobs);
+      EXPECT_EQ(report.stats.schedule_digest, pin.digest) << where;
+      EXPECT_EQ(report.stats.executions, pin.executions) << where;
+      EXPECT_EQ(report.stats.states_visited, pin.states) << where;
+      EXPECT_EQ(report.stats.states_merged, pin.merged) << where;
+    }
   }
 }
 

@@ -321,6 +321,22 @@ TEST(Repro, BaselineFixtureParses) {
   ASSERT_TRUE(parse_repro(kGoodRepro, &err).has_value()) << err;
 }
 
+TEST(Repro, CrlfLineEndingsParseAsLf) {
+  // An artifact that passed through a CRLF-converting editor or transfer
+  // is the same run, header line included.
+  std::string crlf;
+  for (const char c : std::string(kGoodRepro)) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  std::string err;
+  const auto lf = parse_repro(kGoodRepro, &err);
+  const auto parsed = parse_repro(crlf, &err);
+  ASSERT_TRUE(lf.has_value());
+  ASSERT_TRUE(parsed.has_value()) << err;
+  EXPECT_EQ(serialize_repro(*parsed), serialize_repro(*lf));
+}
+
 TEST(Repro, TruncatedFileIsRejected) {
   // A torn write drops the trailing `end` guard (possibly mid-line): the
   // parser must treat the file as incomplete, not replay the prefix.
