@@ -24,16 +24,92 @@
 // paper needs overflow to stay rarer than the coin's inherent 1/b
 // disagreement for the expected-time bound to close.
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "coin/coin_logic.hpp"
 #include "experiment_common.hpp"
+#include "fault/campaign.hpp"
 #include "fault/protocols.hpp"
-#include "perf_harness.hpp"
+#include "shard/coordinator.hpp"
+#include "util/assert.hpp"
+#include "util/space_budget.hpp"
 
 namespace bprc::bench {
 namespace {
+
+/// One point of the frontier. Time side: mean simulated steps per run of
+/// a campaign cell pinned to the budget. The digest lets the table assert
+/// that every jobs / workers level measured the identical run set.
+struct FrontierPerf {
+  double mean_steps = 0.0;
+  std::uint64_t digest = 0;
+};
+
+/// Shared-register bits per process bought by `space` at size n: the
+/// coin-slot ring (slots cells of ±(m+1) counters) plus the n−1 outgoing
+/// edge counters (mod cycle). Only the budget-controlled fields are
+/// counted — the constant-size pref/hint fields are the same at every
+/// budget and would only blur the frontier's x-axis.
+double space_bits_per_process(const SpaceBudget& space, int n) {
+  const CoinParams coin = CoinParams::standard(n, space.b, space.m_scale);
+  auto bits_for = [](std::int64_t distinct) {
+    double bits = 0.0;
+    while ((std::int64_t{1} << static_cast<int>(bits)) < distinct) bits += 1.0;
+    return bits;
+  };
+  const double counter_bits = bits_for(2 * (coin.m + 1) + 1);
+  const double edge_bits = bits_for(space.cycle());
+  return static_cast<double>(space.slots) * counter_bits +
+         static_cast<double>(n - 1) * edge_bits;
+}
+
+/// Sweeps one (protocol, n) campaign cell of `trials` seeds under the
+/// random adversary at the given space budget. workers == 0 runs
+/// in-process at `jobs` threads (mean steps come from the run observer);
+/// workers >= 2 pushes the identical cell through the forked-worker
+/// coordinator, where per-run steps stay behind the wire and only the
+/// digest is meaningful.
+FrontierPerf measure_space_frontier(const std::string& protocol,
+                                    const SpaceBudget& space, int n,
+                                    std::uint64_t trials, unsigned jobs,
+                                    unsigned workers = 0) {
+  fault::CampaignConfig config;
+  config.protocols = {protocol};
+  config.ns = {n};
+  config.adversaries = {"random"};
+  config.seeds_per_cell = trials;
+  config.crash_plans = false;
+  config.spaces = {space};
+  config.max_steps = kRunBudget;
+  config.run_deadline = std::chrono::milliseconds::zero();
+  config.jobs = jobs;
+  std::uint64_t total_steps = 0;
+  fault::CampaignReport report;
+  if (workers >= 2) {
+    shard::ShardServiceConfig service;
+    service.campaign = config;
+    service.workers = workers;
+    report = shard::run_sharded_campaign(service);
+  } else {
+    report = fault::run_campaign(
+        config, [&total_steps](const fault::TortureRun&,
+                               const ConsensusRunResult& r) {
+          total_steps += r.total_steps;
+        });
+  }
+  BPRC_REQUIRE(report.ok(), "frontier bench campaign failed");
+  FrontierPerf out;
+  out.digest = report.summary_digest;
+  if (report.runs > 0) {
+    out.mean_steps = static_cast<double>(total_steps) /
+                     static_cast<double>(report.runs);
+  }
+  return out;
+}
 
 void frontier_table() {
   const int n = 3;

@@ -1,105 +1,20 @@
-// E9 — micro-benchmarks (google-benchmark): the primitive costs
-// everything else is built from. Establishes that the fiber-based
-// simulator sustains millions of primitive shared-memory steps per second
-// on one core, which is what makes the Monte-Carlo experiments feasible.
+// E9 — micro-benchmarks (google-benchmark) for the primitives no
+// perfbench probe times: graph distance queries, token-game moves, bounded
+// timestamp labels and coin flips. The fiber switch, simulator step,
+// snapshot scan, make_graph, inc_counters and coin_value costs come from
+// `python3 perfbench/run.py --trace 1` (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "coin/coin_logic.hpp"
-#include "registers/register.hpp"
-#include "runtime/adversary.hpp"
-#include "runtime/fiber.hpp"
-#include "runtime/sim_runtime.hpp"
-#include "snapshot/scannable_memory.hpp"
 #include "strip/distance_graph.hpp"
-#include "strip/edge_counters.hpp"
 #include "strip/token_game.hpp"
 #include "timestamp/bounded_timestamps.hpp"
 #include "util/rng.hpp"
 
 namespace bprc {
 namespace {
-
-void BM_FiberSwitch(benchmark::State& state) {
-  Fiber* self = nullptr;
-  bool stop = false;
-  Fiber fiber([&] {
-    while (!stop) self->yield();
-  });
-  self = &fiber;
-  for (auto _ : state) {
-    fiber.resume();  // one resume+yield round trip
-  }
-  stop = true;
-  fiber.resume();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FiberSwitch);
-
-void BM_SimulatorStepThroughput(benchmark::State& state) {
-  // Whole-stack step cost: checkpoint + adversary pick + fiber switch +
-  // register op, measured over a 4-process register ping workload.
-  const int n = 4;
-  for (auto _ : state) {
-    state.PauseTiming();
-    SimRuntime rt(n, std::make_unique<RandomAdversary>(1), 1);
-    SWMRRegister<int> reg(rt, 0, 0);
-    for (ProcId p = 0; p < n; ++p) {
-      rt.spawn(p, [&rt, &reg, p] {
-        for (int k = 0; k < 2500; ++k) {
-          if (p == 0) {
-            reg.write(k);
-          } else {
-            reg.read();
-          }
-        }
-      });
-    }
-    state.ResumeTiming();
-    rt.run(~0ull);
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_SimulatorStepThroughput)->Unit(benchmark::kMillisecond);
-
-void BM_ScannableMemoryScan(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    SimRuntime rt(n, std::make_unique<RoundRobinAdversary>(), 1);
-    ScannableMemory<int> mem(rt, 0);
-    rt.spawn(0, [&mem] {
-      for (int k = 0; k < 200; ++k) benchmark::DoNotOptimize(mem.scan());
-    });
-    state.ResumeTiming();
-    rt.run(~0ull);
-  }
-  state.SetItemsProcessed(state.iterations() * 200);
-}
-BENCHMARK(BM_ScannableMemoryScan)->Arg(2)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MakeGraph(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int K = 2;
-  // A representative mid-game counter configuration.
-  Rng rng(3);
-  TokenGame game(n, K);
-  std::vector<EdgeCounters> rows(static_cast<std::size_t>(n),
-                                 initial_edge_counters(n));
-  for (int m = 0; m < 200; ++m) {
-    const int mover = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-    const DistanceGraph g = make_graph(rows, K);
-    inc_counters(mover, g, rows[static_cast<std::size_t>(mover)]);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(make_graph(rows, K));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MakeGraph)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_GraphDist(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -118,22 +33,6 @@ void BM_GraphDist(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphDist)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
-void BM_IncCounters(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int K = 2;
-  std::vector<EdgeCounters> rows(static_cast<std::size_t>(n),
-                                 initial_edge_counters(n));
-  Rng rng(7);
-  for (auto _ : state) {
-    const int mover = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-    const DistanceGraph g = make_graph(rows, K);
-    inc_counters(mover, g, rows[static_cast<std::size_t>(mover)]);
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_IncCounters)->Arg(4)->Arg(8)->Arg(16);
-
 void BM_TokenGameMove(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   TokenGame game(n, 2);
@@ -144,17 +43,6 @@ void BM_TokenGameMove(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TokenGameMove)->Arg(8)->Arg(32);
-
-void BM_CoinValue(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const CoinParams params = CoinParams::standard(n, 4);
-  std::vector<std::int64_t> counters(static_cast<std::size_t>(n), 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(coin_value(counters, 0, params));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CoinValue)->Arg(4)->Arg(32);
 
 void BM_BoundedTimestampNewLabel(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,5 +1,6 @@
 #include "explore/explorer.hpp"
 
+#include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -7,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -132,6 +134,19 @@ void pipe_write_pod(int fd, const T& v) {
 template <typename T>
 bool pipe_read_pod(int fd, T* v) {
   return read_all(fd, v, sizeof *v);
+}
+
+/// The isolated crash verdict reads each child's exit status. An
+/// inherited SIG_IGN for SIGCHLD (the disposition survives execve) makes
+/// the kernel reap children itself, and waitpid() would then only ever
+/// fail with ECHILD, so isolate mode resets it to SIG_DFL.
+void make_children_waitable() {
+  struct sigaction current {};
+  BPRC_REQUIRE(::sigaction(SIGCHLD, nullptr, &current) == 0,
+               "sigaction() failed reading the SIGCHLD disposition");
+  if (current.sa_handler != SIG_IGN) return;
+  BPRC_REQUIRE(::signal(SIGCHLD, SIG_DFL) != SIG_ERR,
+               "signal() failed resetting SIGCHLD to SIG_DFL");
 }
 
 /// Everything an isolated child must hand back so the parent's DFS state
@@ -325,6 +340,7 @@ class Explorer final : public FlipTape, public TraceSink {
     }
     if (limits_.isolate_leaves) {
       mode_ = Mode::kIsolate;
+      make_children_waitable();
     } else if (limits_.grade_jobs > 1) {
       mode_ = Mode::kBatched;
     }
@@ -905,6 +921,7 @@ class Explorer final : public FlipTape, public TraceSink {
     ::close(fds[0]);
     int status = 0;
     while (::waitpid(pid, &status, 0) < 0) {
+      BPRC_REQUIRE(errno == EINTR, "waitpid() failed for isolated exploration");
     }
     ++enumerated_;
     const bool clean =
@@ -956,7 +973,6 @@ class Explorer final : public FlipTape, public TraceSink {
     }
     out.events.push_back(kEventWorkerCrash);
     out.crashed = true;
-    out.crash_signal = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
     Violation v;
     v.failure = FailureClass::kWorkerCrash;
     v.note = "exploration worker died (";

@@ -21,12 +21,8 @@
 //   0xF1   — local-coin flip resolved true
 //   0x80+c — stale read resolved to choice c (weakened register
 //            semantics only; c < 6 keeps these below 0xCF)
-//   0xCF   — grading worker died before reporting (isolated mode only)
-//
-// grade_leaf_isolated() runs the same grading in a fork()ed child so a
-// leaf that kills its process (e.g. the broken-segv registry protocol)
-// surfaces as a FailureClass::kWorkerCrash violation instead of taking
-// the DFS down with it.
+//   0xCF   — isolated exploration worker died before reporting
+//            (--isolate only)
 #pragma once
 
 #include <cstdint>
@@ -65,7 +61,6 @@ struct LeafOutcome {
   bool pruned = false;
   bool complete = false;  ///< RunResult::Reason::kAllDone
   bool crashed = false;   ///< isolated worker died before reporting
-  int crash_signal = 0;   ///< signal that killed it, 0 if plain exit
   std::optional<Violation> violation;
 };
 
@@ -80,14 +75,5 @@ std::vector<ProcId> decode_schedule(const std::vector<std::uint8_t>& events);
 LeafOutcome grade_leaf(ExploreTarget& target, const ExploreLimits& limits,
                        std::uint64_t seed, const LeafSpec& spec,
                        SimReuse& reuse);
-
-/// grade_leaf in a fork()ed child. An abnormal child death yields
-/// crashed=true with a kWorkerCrash violation and the spec's prefix
-/// events plus a 0xCF marker, so the sweep continues deterministically.
-/// Call only from a single-threaded coordinator (fork + threads do not
-/// mix).
-LeafOutcome grade_leaf_isolated(ExploreTarget& target,
-                                const ExploreLimits& limits,
-                                std::uint64_t seed, const LeafSpec& spec);
 
 }  // namespace bprc::explore

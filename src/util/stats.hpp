@@ -18,8 +18,7 @@
 namespace bprc {
 
 /// Wall-clock throughput meter for harness instrumentation: ns/item and
-/// items/sec over a steady_clock interval. Used by the perf benchmarks
-/// (bench/bench_perf, tools/bprc_bench) and the torture campaign's
+/// items/sec over a steady_clock interval. Used by the torture campaign's
 /// per-run step-rate log line.
 ///
 /// This is strictly OUTSIDE the deterministic simulation: readings must

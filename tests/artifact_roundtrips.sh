@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end round trips through the artifact files: each must land on
-# the digest of the uninterrupted, unsharded run.
+# End-to-end smoke checks of the CLIs. The round trips through the
+# artifact files must each land on the digest of the uninterrupted,
+# unsharded run:
 #
 #   artifact_roundtrips.sh shard-merge BIN_DIR WORK_DIR
 #       --shard 0..2/3 files merged offline == the serial smoke sweep
@@ -11,8 +12,25 @@
 #       a sweep SIGKILLed after its first periodic checkpoint appeared,
 #       resumed from whatever is on disk, == the uninterrupted sweep
 #
-# BIN_DIR holds bprc_torture and bprc_explore. Registered with ctest
-# under the `smoke` label: `ctest -L smoke`.
+# The crash-containment paths must turn a process-killing protocol into
+# recorded worker-crash artifacts instead of dying with it:
+#
+#   artifact_roundtrips.sh shard-quarantine BIN_DIR WORK_DIR
+#       a `--workers 2` campaign of broken-segv completes (exit 1) and
+#       quarantines its trials as generative worker-crash artifacts
+#   artifact_roundtrips.sh isolate BIN_DIR WORK_DIR
+#       an `--isolate` exploration of broken-segv completes (exit 1),
+#       counts its worker crashes and writes worker-crash artifacts
+#
+# And the space axis must not depend on parallelism:
+#
+#   artifact_roundtrips.sh frontier-bench BENCH_DIR WORK_DIR
+#       bench_frontier (E11) aborts unless every budget's campaign digest
+#       is the same at jobs=1, jobs=max and 2 forked workers
+#
+# BIN_DIR holds bprc_torture and bprc_explore; BENCH_DIR holds
+# bench_frontier. Registered with ctest under the `smoke` label:
+# `ctest -L smoke`.
 set -euo pipefail
 
 mode=$1
@@ -31,6 +49,24 @@ same_digest() {  # pattern file-a file-b
 
 explore_found() {  # bprc_explore exit: 0 = clean, 1 = violations found
   "$bin/bprc_explore" "$@" || [ $? -eq 1 ]
+}
+
+exits_with_findings() {  # log command...: must exit 1 (completed, findings)
+  local log=$1 status=0
+  shift
+  "$@" > "$log" 2>&1 || status=$?
+  [ "$status" -eq 1 ] ||
+    { echo "expected exit 1 (findings recorded), got $status" >&2; return 1; }
+}
+
+all_artifacts_match() {  # pattern dir: every .bprc-repro, at least one
+  local f count=0
+  for f in "$2"/*.bprc-repro; do
+    [ -e "$f" ] || break
+    grep -qx "$1" "$f" || { echo "$f lacks '$1'" >&2; return 1; }
+    count=$((count + 1))
+  done
+  [ "$count" -gt 0 ] || { echo "no artifacts in $2" >&2; return 1; }
 }
 
 case "$mode" in
@@ -93,6 +129,29 @@ EOF
       --checkpoint-out "$f" > "$work/resumed.out"
     "$bin/bprc_explore" $cell --stats > "$work/full.out"
     same_digest 'schedule digest' "$work/full.out" "$work/resumed.out"
+    ;;
+
+  shard-quarantine)
+    exits_with_findings "$work/segv.log" "$bin/bprc_torture" --workers 2 \
+      --protocol broken-segv --adversary random --n 2 --seeds 4 \
+      --max-failures 64 --out "$work/repros"
+    grep -q quarantining "$work/segv.log" ||
+      { echo "no trial was quarantined" >&2; exit 1; }
+    all_artifacts_match 'failure worker-crash' "$work/repros"
+    all_artifacts_match 'mode generative' "$work/repros"
+    ;;
+
+  isolate)
+    exits_with_findings "$work/segv.log" "$bin/bprc_explore" \
+      --protocol broken-segv --n 2 --inputs 0,1 --depth 8 --seed 2 \
+      --isolate --stats --out "$work/repros"
+    grep -Eq ' [1-9][0-9]* worker crash\(es\)' "$work/segv.log" ||
+      { echo "no worker crash counted" >&2; exit 1; }
+    all_artifacts_match 'failure worker-crash' "$work/repros"
+    ;;
+
+  frontier-bench)
+    "$bin/bench_frontier" > "$work/frontier.out"
     ;;
 
   *)

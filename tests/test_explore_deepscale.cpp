@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -540,24 +541,42 @@ TEST(Isolate, LethalSegvSurfacesAsWorkerCrash) {
   // Even seeds arm the lethal variant: the first graded execution kills
   // its worker process. Under --isolate the parent survives, records a
   // kWorkerCrash finding, and the artifact round-trips the repro format.
-  ExploreLimits limits = cell_limits(6);
-  limits.isolate_leaves = true;
-  limits.max_violations = 1;
-  const ConsensusExploreReport report =
-      run_cell("broken-segv", {0, 1}, limits, nullptr, /*seed=*/2);
-  ASSERT_FALSE(report.ok()) << "lethal protocol produced no finding";
-  EXPECT_GT(report.stats.worker_crashes, 0u);
-  const ExploreViolation& v = report.violations.front();
-  EXPECT_EQ(v.failure, FailureClass::kWorkerCrash);
-  EXPECT_NE(v.note.find("worker died"), std::string::npos) << v.note;
-  // The quarantine artifact survives the .bprc-repro text format (we do
-  // NOT replay it in-process — that is the crash we just contained).
-  const fault::Repro repro = make_explore_repro(report.config, v);
-  std::string err;
-  const auto parsed = fault::parse_repro(fault::serialize_repro(repro), &err);
-  ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(parsed->failure, FailureClass::kWorkerCrash);
-  EXPECT_EQ(parsed->schedule, v.schedule);
+  const auto check_quarantined = [] {
+    ExploreLimits limits = cell_limits(6);
+    limits.isolate_leaves = true;
+    limits.max_violations = 1;
+    const ConsensusExploreReport report =
+        run_cell("broken-segv", {0, 1}, limits, nullptr, /*seed=*/2);
+    ASSERT_FALSE(report.ok()) << "lethal protocol produced no finding";
+    EXPECT_GT(report.stats.worker_crashes, 0u);
+    const ExploreViolation& v = report.violations.front();
+    EXPECT_EQ(v.failure, FailureClass::kWorkerCrash);
+    EXPECT_NE(v.note.find("worker died"), std::string::npos) << v.note;
+    EXPECT_NE(v.note.find("signal"), std::string::npos) << v.note;
+    // The quarantine artifact survives the .bprc-repro text format (we do
+    // NOT replay it in-process — that is the crash we just contained).
+    const fault::Repro repro = make_explore_repro(report.config, v);
+    std::string err;
+    const auto parsed =
+        fault::parse_repro(fault::serialize_repro(repro), &err);
+    ASSERT_TRUE(parsed.has_value()) << err;
+    EXPECT_EQ(parsed->failure, FailureClass::kWorkerCrash);
+    EXPECT_EQ(parsed->schedule, v.schedule);
+  };
+  check_quarantined();
+
+  // Again with SIGCHLD ignored, as a launcher that ignored it before
+  // execve leaves the process: the kernel would then reap the workers
+  // itself, so the explorer must make them waitable again to read an exit
+  // status. The alarm turns a waitpid() hang into a failure.
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  struct sigaction saved {};
+  ASSERT_EQ(::sigaction(SIGCHLD, &ignore, &saved), 0);
+  ::alarm(30);
+  check_quarantined();
+  ::alarm(0);
+  ASSERT_EQ(::sigaction(SIGCHLD, &saved, nullptr), 0);
 }
 
 }  // namespace
