@@ -117,25 +117,6 @@ class LeafQueue {
   bool aborted_ = false;
 };
 
-// --- pipe wire helpers for the isolated (fork-per-execution) mode ---
-
-using record::read_all;
-
-void pipe_write(int fd, const void* data, std::size_t len) {
-  // The parent treats a short report as a crash.
-  if (!record::write_all(fd, data, len)) _exit(3);
-}
-
-template <typename T>
-void pipe_write_pod(int fd, const T& v) {
-  pipe_write(fd, &v, sizeof v);
-}
-
-template <typename T>
-bool pipe_read_pod(int fd, T* v) {
-  return read_all(fd, v, sizeof *v);
-}
-
 /// The isolated crash verdict reads each child's exit status. An
 /// inherited SIG_IGN for SIGCHLD (the disposition survives execve) makes
 /// the kernel reap children itself, and waitpid() would then only ever
@@ -147,170 +128,6 @@ void make_children_waitable() {
   if (current.sa_handler != SIG_IGN) return;
   BPRC_REQUIRE(::signal(SIGCHLD, SIG_DFL) != SIG_ERR,
                "signal() failed resetting SIGCHLD to SIG_DFL");
-}
-
-/// Everything an isolated child must hand back so the parent's DFS state
-/// evolves exactly as if it had executed the run itself: the outcome, the
-/// trail extension, the seen-cache visits (replayed on the parent's
-/// cache), and the tree-shape counter deltas.
-struct IsolatedReport {
-  bool pruned = false;
-  bool complete = false;
-  std::optional<Violation> violation;
-  std::uint64_t steps = 0;
-  std::vector<std::uint8_t> events;
-  std::vector<bool> flips;
-  std::vector<int> stales;
-  std::vector<Node> new_nodes;
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> visits;
-  std::uint64_t d_states_visited = 0;
-  std::uint64_t d_states_merged = 0;
-  std::uint64_t d_sleep_blocked = 0;
-  std::uint64_t d_coin_branches = 0;
-};
-
-void send_report(int fd, const IsolatedReport& rep, int nprocs) {
-  std::uint8_t flags = 0;
-  if (rep.pruned) flags |= 1;
-  if (rep.complete) flags |= 2;
-  if (rep.violation.has_value()) flags |= 4;
-  pipe_write_pod(fd, flags);
-  const std::uint8_t failure = static_cast<std::uint8_t>(
-      rep.violation ? rep.violation->failure : FailureClass::kNone);
-  pipe_write_pod(fd, failure);
-  const std::uint32_t note_len = static_cast<std::uint32_t>(
-      rep.violation ? rep.violation->note.size() : 0);
-  pipe_write_pod(fd, note_len);
-  if (note_len > 0) pipe_write(fd, rep.violation->note.data(), note_len);
-  pipe_write_pod(fd, rep.steps);
-  pipe_write_pod<std::uint64_t>(fd, rep.events.size());
-  if (!rep.events.empty()) pipe_write(fd, rep.events.data(), rep.events.size());
-  pipe_write_pod<std::uint64_t>(fd, rep.flips.size());
-  for (const bool b : rep.flips) {
-    pipe_write_pod<std::uint8_t>(fd, b ? 1 : 0);
-  }
-  pipe_write_pod<std::uint64_t>(fd, rep.stales.size());
-  for (const int c : rep.stales) {
-    pipe_write_pod<std::int32_t>(fd, c);
-  }
-  pipe_write_pod<std::uint64_t>(fd, rep.new_nodes.size());
-  for (const Node& node : rep.new_nodes) {
-    // Kind byte: 0 = schedule, 1 = coin, 2 = stale.
-    const std::uint8_t kind = node.is_coin ? 1 : (node.is_stale ? 2 : 0);
-    pipe_write_pod(fd, kind);
-    if (node.is_coin) continue;  // created coin nodes are (false, taken=1)
-    if (node.is_stale) {
-      // Created stale nodes are (value=0, taken=1); only the option count
-      // varies.
-      pipe_write_pod<std::int32_t>(fd, node.stale_options);
-      continue;
-    }
-    pipe_write_pod<std::int32_t>(fd, node.chosen);
-    pipe_write_pod(fd, node.candidates);
-    pipe_write_pod(fd, node.sleep);
-    for (int p = 0; p < nprocs; ++p) {
-      const OpDesc& op = node.ops[static_cast<std::size_t>(p)];
-      pipe_write_pod<std::uint8_t>(fd, static_cast<std::uint8_t>(op.kind));
-      pipe_write_pod<std::int32_t>(fd, op.object);
-      pipe_write_pod<std::int64_t>(fd, op.payload);
-    }
-  }
-  pipe_write_pod<std::uint64_t>(fd, rep.visits.size());
-  for (const auto& [key, depth] : rep.visits) {
-    pipe_write_pod(fd, key);
-    pipe_write_pod(fd, depth);
-  }
-  pipe_write_pod(fd, rep.d_states_visited);
-  pipe_write_pod(fd, rep.d_states_merged);
-  pipe_write_pod(fd, rep.d_sleep_blocked);
-  pipe_write_pod(fd, rep.d_coin_branches);
-}
-
-bool recv_report(int fd, IsolatedReport* rep, int nprocs) {
-  std::uint8_t flags = 0;
-  std::uint8_t failure = 0;
-  std::uint32_t note_len = 0;
-  if (!pipe_read_pod(fd, &flags)) return false;
-  if (!pipe_read_pod(fd, &failure)) return false;
-  if (!pipe_read_pod(fd, &note_len)) return false;
-  if (note_len > (1u << 20)) return false;  // corrupt length = crash
-  std::string note(note_len, '\0');
-  if (note_len > 0 && !read_all(fd, note.data(), note_len)) return false;
-  if (!pipe_read_pod(fd, &rep->steps)) return false;
-  std::uint64_t count = 0;
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 30)) return false;
-  rep->events.resize(static_cast<std::size_t>(count));
-  if (count > 0 && !read_all(fd, rep->events.data(), rep->events.size())) {
-    return false;
-  }
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 20)) return false;
-  rep->flips.resize(static_cast<std::size_t>(count));
-  for (std::size_t i = 0; i < rep->flips.size(); ++i) {
-    std::uint8_t b = 0;
-    if (!pipe_read_pod(fd, &b)) return false;
-    rep->flips[i] = b != 0;
-  }
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 20)) return false;
-  rep->stales.resize(static_cast<std::size_t>(count));
-  for (int& c : rep->stales) {
-    std::int32_t v = 0;
-    if (!pipe_read_pod(fd, &v)) return false;
-    c = v;
-  }
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 20)) return false;
-  rep->new_nodes.resize(static_cast<std::size_t>(count));
-  for (Node& node : rep->new_nodes) {
-    std::uint8_t kind = 0;
-    if (!pipe_read_pod(fd, &kind)) return false;
-    if (kind > 2) return false;
-    node.is_coin = kind == 1;
-    node.is_stale = kind == 2;
-    node.taken = 1;
-    if (node.is_coin) continue;
-    if (node.is_stale) {
-      std::int32_t options = 0;
-      if (!pipe_read_pod(fd, &options)) return false;
-      node.stale_options = options;
-      continue;
-    }
-    std::int32_t chosen = 0;
-    if (!pipe_read_pod(fd, &chosen)) return false;
-    node.chosen = static_cast<ProcId>(chosen);
-    if (!pipe_read_pod(fd, &node.candidates)) return false;
-    if (!pipe_read_pod(fd, &node.sleep)) return false;
-    node.ops.resize(static_cast<std::size_t>(nprocs));
-    for (int p = 0; p < nprocs; ++p) {
-      OpDesc& op = node.ops[static_cast<std::size_t>(p)];
-      std::uint8_t kind = 0;
-      std::int32_t object = 0;
-      std::int64_t payload = 0;
-      if (!pipe_read_pod(fd, &kind)) return false;
-      if (!pipe_read_pod(fd, &object)) return false;
-      if (!pipe_read_pod(fd, &payload)) return false;
-      op.kind = static_cast<OpDesc::Kind>(kind);
-      op.object = object;
-      op.payload = payload;
-    }
-  }
-  if (!pipe_read_pod(fd, &count) || count > (1ull << 30)) return false;
-  rep->visits.resize(static_cast<std::size_t>(count));
-  for (auto& [key, depth] : rep->visits) {
-    if (!pipe_read_pod(fd, &key)) return false;
-    if (!pipe_read_pod(fd, &depth)) return false;
-  }
-  if (!pipe_read_pod(fd, &rep->d_states_visited)) return false;
-  if (!pipe_read_pod(fd, &rep->d_states_merged)) return false;
-  if (!pipe_read_pod(fd, &rep->d_sleep_blocked)) return false;
-  if (!pipe_read_pod(fd, &rep->d_coin_branches)) return false;
-  if ((flags & 4) != 0) {
-    Violation v;
-    v.failure = static_cast<FailureClass>(failure);
-    v.note = std::move(note);
-    rep->violation = std::move(v);
-  }
-  rep->pruned = (flags & 1) != 0;
-  rep->complete = (flags & 2) != 0;
-  return true;
 }
 
 class Explorer final : public FlipTape, public TraceSink {
@@ -331,19 +148,15 @@ class Explorer final : public FlipTape, public TraceSink {
     BPRC_REQUIRE(!limits_.state_cache || limits_.branch_depth <= 255,
                  "seen-state depth tags are 8-bit: branch_depth <= 255");
     BPRC_REQUIRE(!limits_.isolate_leaves || limits_.grade_jobs <= 1,
-                 "isolated leaf grading forks: grade_jobs must be 1");
+                 "isolated exploration forks: grade_jobs must be 1");
     if (limits_.split_count > 1) {
       BPRC_REQUIRE(limits_.split_index < limits_.split_count,
                    "frontier split index out of range");
       BPRC_REQUIRE(limits_.branch_depth >= 1,
                    "frontier split needs a branch region");
     }
-    if (limits_.isolate_leaves) {
-      mode_ = Mode::kIsolate;
-      make_children_waitable();
-    } else if (limits_.grade_jobs > 1) {
-      mode_ = Mode::kBatched;
-    }
+    if (limits_.isolate_leaves) make_children_waitable();
+    if (limits_.grade_jobs > 1) mode_ = Mode::kBatched;
     config_fp_ = config_fingerprint();
   }
 
@@ -429,9 +242,6 @@ class Explorer final : public FlipTape, public TraceSink {
         key = fnv_mix(key, stales_used_ + 1);
       }
       if (key == 0) key = kSeenZeroKey;  // 0 marks empty compact slots
-      if (visit_log_ != nullptr) {
-        visit_log_->emplace_back(key, static_cast<std::uint8_t>(depth));
-      }
       const SeenCache::Visit visit =
           seen_.visit(key, static_cast<std::uint8_t>(depth));
       if (visit == SeenCache::Visit::kMerged) {
@@ -608,7 +418,7 @@ class Explorer final : public FlipTape, public TraceSink {
 
  private:
   enum : std::uint64_t { kDigestRunEnd = 0xE0D };
-  enum class Mode { kInline, kBatched, kIsolate };
+  enum class Mode { kInline, kBatched };
 
   /// True once this execution has reached the branching depth. Depth
   /// only grows within an execution and fingerprints are taken only at
@@ -756,7 +566,7 @@ class Explorer final : public FlipTape, public TraceSink {
   /// violation list — in generation order. Every mode funnels through
   /// here, which is what makes jobs levels byte-identical: the serial
   /// path delivers inline, the batched path from the engine's ordered
-  /// sink, the isolated path after each fork.
+  /// sink, a quarantined branch from quarantine().
   void deliver(const LeafSpec& spec, LeafOutcome& out) {
     for (const std::uint8_t b : out.events) {
       stats_.schedule_digest = fnv_mix(stats_.schedule_digest, b);
@@ -788,9 +598,12 @@ class Explorer final : public FlipTape, public TraceSink {
   }
 
   void execute_once() {
-    if (mode_ == Mode::kIsolate) {
-      execute_isolated();
-      return;
+    if (limits_.isolate_leaves) {
+      int status = 0;
+      if (!probe_survives(&status)) {
+        quarantine(status);
+        return;
+      }
     }
     const RunResult run = run_core();
     ++enumerated_;
@@ -898,63 +711,49 @@ class Explorer final : public FlipTape, public TraceSink {
     return out;
   }
 
-  /// kIsolate: the whole execution — enumeration run *and* grading — in a
-  /// fork()ed child, so a protocol that kills its host process (e.g.
-  /// broken-segv, which dies on the first propose() step, inside the
-  /// branch region) cannot take the DFS coordinator down. The child hands
-  /// back everything the parent needs to evolve its DFS state exactly as
-  /// if it had run the execution itself; a dead child quarantines its
-  /// whole current branch as one kWorkerCrash finding and the sweep
-  /// backtracks past it.
-  void execute_isolated() {
+  /// --isolate: the whole execution (enumeration run *and* grading) runs
+  /// first in a fork()ed child, so a protocol that kills its host process
+  /// (e.g. broken-segv, which dies on the first propose() step, inside the
+  /// branch region) cannot take the DFS coordinator down. The child only
+  /// proves the execution survives: one byte on the pipe, then exit 0.
+  /// The byte tells a finished child apart from a protocol that called
+  /// exit(0). The execution is a deterministic function of the trail,
+  /// seed and limits fork() copied, so the parent then runs it inline and
+  /// its DFS state evolves exactly as the child's did. `status` receives
+  /// the child's wait status.
+  bool probe_survives(int* status) {
     int fds[2];
     BPRC_REQUIRE(::pipe(fds) == 0, "pipe() failed for isolated exploration");
     const pid_t pid = ::fork();
     BPRC_REQUIRE(pid >= 0, "fork() failed for isolated exploration");
     if (pid == 0) {
       ::close(fds[0]);
-      child_run_and_report(fds[1]);  // _exits
+      const RunResult run = run_core();
+      if (!pruned_) {
+        (void)instance_->check(*runtime_, run,
+                               run.reason == RunResult::Reason::kAllDone);
+      }
+      const char done = 1;
+      _exit(record::write_all(fds[1], &done, 1) ? 0 : 3);
     }
     ::close(fds[1]);
-    IsolatedReport rep;
-    const bool reported = recv_report(fds[0], &rep, nprocs_);
+    char done = 0;
+    const bool reported = record::read_all(fds[0], &done, 1);
     ::close(fds[0]);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0) {
+    while (::waitpid(pid, status, 0) < 0) {
       BPRC_REQUIRE(errno == EINTR, "waitpid() failed for isolated exploration");
     }
-    ++enumerated_;
-    const bool clean =
-        reported && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (clean) {
-      for (Node& node : rep.new_nodes) trail_.push_back(std::move(node));
-      for (const auto& [key, depth] : rep.visits) seen_.visit(key, depth);
-      stats_.states_visited += rep.d_states_visited;
-      stats_.states_merged += rep.d_states_merged;
-      stats_.sleep_blocked += rep.d_sleep_blocked;
-      stats_.coin_branches += rep.d_coin_branches;
-      stats_.max_trail_depth =
-          std::max(stats_.max_trail_depth,
-                   static_cast<std::uint64_t>(trail_.size()));
-      LeafSpec spec;
-      spec.flips = std::move(rep.flips);
-      spec.stales = std::move(rep.stales);
-      LeafOutcome out;
-      out.events = std::move(rep.events);
-      out.steps = rep.steps;
-      out.pruned = rep.pruned;
-      out.complete = rep.complete;
-      out.violation = std::move(rep.violation);
-      deliver(spec, out);
-      return;
-    }
+    return reported && WIFEXITED(*status) && WEXITSTATUS(*status) == 0;
+  }
 
-    // The child died before reporting. The parent cannot know how the
-    // child extended the trail (computing that would mean executing the
-    // killer protocol here), so it quarantines the whole current branch:
-    // the replay prefix it *does* know — the trail's chosen picks and
-    // coin values, in trail order — becomes the artifact, and backtrack()
-    // moves past the poisoned subtree.
+  /// A probe died: the parent cannot know how the child extended the trail
+  /// (computing that would mean executing the killer protocol here), so it
+  /// quarantines the whole current branch as one kWorkerCrash finding: the
+  /// replay prefix it *does* know — the trail's chosen picks, coin values
+  /// and stale choices, in trail order — becomes the artifact, and
+  /// backtrack() moves past the poisoned subtree.
+  void quarantine(int status) {
+    ++enumerated_;
     LeafSpec spec;
     LeafOutcome out;
     for (const Node& node : trail_) {
@@ -989,35 +788,6 @@ class Explorer final : public FlipTape, public TraceSink {
         std::max(stats_.max_trail_depth,
                  static_cast<std::uint64_t>(trail_.size()));
     deliver(spec, out);
-  }
-
-  /// Child side of execute_isolated: run + grade inline, report the DFS
-  /// delta, and exit without running any parent-side teardown.
-  [[noreturn]] void child_run_and_report(int fd) {
-    const std::size_t base_nodes = trail_.size();
-    std::vector<std::pair<std::uint64_t, std::uint8_t>> visits;
-    visit_log_ = &visits;
-    const ExploreStats before = stats_;
-    const RunResult run = run_core();
-    IsolatedReport rep;
-    rep.pruned = pruned_;
-    rep.steps = run.steps;
-    rep.events = std::move(exec_events_);
-    rep.flips = std::move(exec_flips_);
-    rep.stales = std::move(exec_stales_);
-    if (!pruned_) {
-      rep.complete = run.reason == RunResult::Reason::kAllDone;
-      rep.violation = instance_->check(*runtime_, run, rep.complete);
-    }
-    rep.new_nodes.assign(trail_.begin() + static_cast<std::ptrdiff_t>(base_nodes),
-                         trail_.end());
-    rep.visits = std::move(visits);
-    rep.d_states_visited = stats_.states_visited - before.states_visited;
-    rep.d_states_merged = stats_.states_merged - before.states_merged;
-    rep.d_sleep_blocked = stats_.sleep_blocked - before.sleep_blocked;
-    rep.d_coin_branches = stats_.coin_branches - before.coin_branches;
-    send_report(fd, rep, nprocs_);
-    _exit(0);
   }
 
   /// Advances the trail to the next unexplored branch; false = done.
@@ -1187,9 +957,6 @@ class Explorer final : public FlipTape, public TraceSink {
   std::vector<bool> exec_flips_;
   std::vector<int> exec_stales_;    ///< forced stale choices (replay prefix)
   std::vector<std::uint8_t> exec_events_;  ///< leaf_grader.hpp encoding
-  /// When set (isolated child), every seen-cache visit is logged so the
-  /// parent can replay it on its own cache.
-  std::vector<std::pair<std::uint64_t, std::uint8_t>>* visit_log_ = nullptr;
 
   // Fingerprint state (reset per execution).
   int next_object_ = 0;

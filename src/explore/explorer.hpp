@@ -93,9 +93,11 @@ struct ExploreLimits {
   /// Over budget the cache evicts deep entries instead of growing —
   /// sound (fewer prunes, never a skipped state), bounded.
   std::uint64_t max_cache_bytes = 0;
-  /// Grade each leaf in a fork()ed child so a process-killing protocol
-  /// (broken-segv) surfaces as kWorkerCrash instead of taking the DFS
-  /// down. Forces grade_jobs <= 1 (fork and worker threads do not mix).
+  /// Run (and grade) each whole execution first in a fork()ed child, so a
+  /// process-killing protocol (broken-segv) surfaces as kWorkerCrash
+  /// instead of taking the DFS down; an execution the child survives is
+  /// then run inline. Forces grade_jobs <= 1 (fork and worker threads do
+  /// not mix).
   bool isolate_leaves = false;
   /// Frontier split: restrict the root scheduling point to candidates
   /// whose rank satisfies rank % split_count == split_index, so k
@@ -118,7 +120,7 @@ struct ExploreStats {
   std::uint64_t stale_branches = 0;  ///< stale reads branched over values
   std::uint64_t max_trail_depth = 0;
   std::uint64_t total_steps = 0;     ///< simulator steps over all runs
-  std::uint64_t worker_crashes = 0;  ///< isolated grading workers that died
+  std::uint64_t worker_crashes = 0;  ///< isolated execution probes that died
   std::uint64_t cache_entries = 0;      ///< seen-state entries at the end
   std::uint64_t peak_cache_bytes = 0;   ///< high-water cache footprint
   std::uint64_t cache_evictions = 0;    ///< budget-forced depth evictions

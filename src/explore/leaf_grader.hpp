@@ -21,7 +21,7 @@
 //   0xF1   — local-coin flip resolved true
 //   0x80+c — stale read resolved to choice c (weakened register
 //            semantics only; c < 6 keeps these below 0xCF)
-//   0xCF   — isolated exploration worker died before reporting
+//   0xCF   — isolated exploration probe died before reporting
 //            (--isolate only)
 #pragma once
 
@@ -60,7 +60,7 @@ struct LeafOutcome {
   std::uint64_t steps = 0;
   bool pruned = false;
   bool complete = false;  ///< RunResult::Reason::kAllDone
-  bool crashed = false;   ///< isolated worker died before reporting
+  bool crashed = false;   ///< isolated probe died before reporting
   std::optional<Violation> violation;
 };
 

@@ -88,7 +88,7 @@ bool Reader::token(std::string_view* out) {
 
 bool Reader::hex(std::uint64_t* out) {
   std::string_view tok;
-  return (field(&tok) && parse(tok, out, 16)) || malformed();
+  return (field(&tok) && parse_number(tok, out, 16)) || malformed();
 }
 
 bool Reader::flag(bool* out) {

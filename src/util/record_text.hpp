@@ -40,6 +40,23 @@
 
 namespace bprc::record {
 
+/// The strict number rule of every field reader below, also used for the
+/// CLIs' numeric options: `tok` must parse whole, with no leading space
+/// or `+`, and an unsigned type takes no sign (`-1` is an error, not
+/// 2^64-1).
+template <class T>
+  requires std::integral<T> || std::floating_point<T>
+bool parse_number(std::string_view tok, T* out, int base = 10) {
+  const char* end = tok.data() + tok.size();
+  std::from_chars_result res{};
+  if constexpr (std::is_floating_point_v<T>) {
+    res = std::from_chars(tok.data(), end, *out);
+  } else {
+    res = std::from_chars(tok.data(), end, *out, base);
+  }
+  return res.ec == std::errc() && res.ptr == end;
+}
+
 /// Reads one record. Errors are sticky: the first failure writes the
 /// diagnostic and every later call fails, so a format's dispatch loop
 /// needs one check per line.
@@ -63,7 +80,7 @@ class Reader {
     requires std::integral<T> || std::floating_point<T>
   bool num(T* out) {
     std::string_view tok;
-    return (field(&tok) && parse(tok, out)) || malformed();
+    return (field(&tok) && parse_number(tok, out)) || malformed();
   }
   bool hex(std::uint64_t* out);
   bool flag(bool* out);  ///< "0" or "1"
@@ -80,7 +97,7 @@ class Reader {
     std::string_view tok;
     while (token(&tok)) {
       T v{};
-      if (!parse(tok, &v) || (valid != nullptr && !valid(v))) {
+      if (!parse_number(tok, &v) || (valid != nullptr && !valid(v))) {
         return malformed(why);
       }
       out->push_back(v);
@@ -99,17 +116,6 @@ class Reader {
   bool ok() const { return ok_; }
 
  private:
-  template <class T>
-  static bool parse(std::string_view tok, T* out, int base = 10) {
-    const char* end = tok.data() + tok.size();
-    std::from_chars_result res{};
-    if constexpr (std::is_floating_point_v<T>) {
-      res = std::from_chars(tok.data(), end, *out);
-    } else {
-      res = std::from_chars(tok.data(), end, *out, base);
-    }
-    return res.ec == std::errc() && res.ptr == end;
-  }
   bool raw_line();  ///< the next physical line, blank or not
   bool token(std::string_view* out);
   bool field(std::string_view* out) { return token(out) || malformed(); }

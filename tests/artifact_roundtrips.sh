@@ -12,6 +12,23 @@
 #       a sweep SIGKILLed after its first periodic checkpoint appeared,
 #       resumed from whatever is on disk, == the uninterrupted sweep
 #
+# Parallelism must not change a result:
+#
+#   artifact_roundtrips.sh torture-jobs BIN_DIR WORK_DIR
+#       the smoke campaign at --jobs 2 == --jobs 1, digest and stderr
+#   artifact_roundtrips.sh shard-workers BIN_DIR WORK_DIR
+#       the smoke campaign on 2 forked workers, and again with 2 of them
+#       SIGKILLed by the reaper (a `reaper:` line is required), == serial
+#   artifact_roundtrips.sh explore-jobs BIN_DIR WORK_DIR
+#       a bprc n=3 exploration cell graded at --jobs 2 == --jobs 1
+#
+# The explorer's verdicts must hold and its counterexamples replay:
+#
+#   artifact_roundtrips.sh explore-replay BIN_DIR WORK_DIR
+#       `bprc_explore --smoke` passes (real protocols clean, seeded-broken
+#       ones caught), and every artifact it writes, at least one,
+#       reproduces under `bprc_torture --replay`
+#
 # The crash-containment paths must turn a process-killing protocol into
 # recorded worker-crash artifacts instead of dying with it:
 #
@@ -22,11 +39,16 @@
 #       an `--isolate` exploration of broken-segv completes (exit 1),
 #       counts its worker crashes and writes worker-crash artifacts
 #
-# And the space axis must not depend on parallelism:
+# The space axis must not depend on parallelism either:
 #
 #   artifact_roundtrips.sh frontier-bench BENCH_DIR WORK_DIR
 #       bench_frontier (E11) aborts unless every budget's campaign digest
 #       is the same at jobs=1, jobs=max and 2 forked workers
+#
+# And a malformed numeric option must be refused, not parsed as a prefix:
+#
+#   artifact_roundtrips.sh cli-args BIN_DIR WORK_DIR
+#       each bad value exits 2 with the option named on stderr
 #
 # BIN_DIR holds bprc_torture and bprc_explore; BENCH_DIR holds
 # bench_frontier. Registered with ctest under the `smoke` label:
@@ -150,8 +172,67 @@ EOF
     all_artifacts_match 'failure worker-crash' "$work/repros"
     ;;
 
+  torture-jobs)
+    for j in 1 2; do
+      "$bin/bprc_torture" --smoke --quiet --jobs "$j" \
+        > "$work/j$j.out" 2> "$work/j$j.err"
+    done
+    same_digest '^digest=' "$work/j1.out" "$work/j2.out"
+    diff "$work/j1.err" "$work/j2.err" ||
+      { echo "stderr differs between --jobs 1 and --jobs 2" >&2; exit 1; }
+    ;;
+
+  shard-workers)
+    "$bin/bprc_torture" --smoke --quiet --jobs 1 > "$work/serial.out"
+    "$bin/bprc_torture" --smoke --quiet --workers 2 > "$work/w2.out"
+    "$bin/bprc_torture" --smoke --workers 2 --reap 2 \
+      > "$work/reap.out" 2> "$work/reap.err"
+    grep -q 'reaper:' "$work/reap.err" ||
+      { echo "the reaper killed no worker" >&2; exit 1; }
+    same_digest '^digest=' "$work/serial.out" "$work/w2.out"
+    same_digest '^digest=' "$work/serial.out" "$work/reap.out"
+    ;;
+
+  explore-jobs)
+    cell="--protocol bprc --n 3 --inputs 0,1,1 --depth 14 --coin-flips 2"
+    "$bin/bprc_explore" $cell --stats > "$work/j1.out"
+    "$bin/bprc_explore" $cell --stats --jobs 2 > "$work/j2.out"
+    same_digest 'schedule digest' "$work/j1.out" "$work/j2.out"
+    ;;
+
+  explore-replay)
+    "$bin/bprc_explore" --smoke --stats --out "$work/repros" \
+      > "$work/smoke.out"
+    count=0
+    for f in "$work"/repros/*.bprc-repro; do
+      [ -e "$f" ] || break
+      "$bin/bprc_torture" --replay "$f" > /dev/null ||
+        { echo "$f does not replay" >&2; exit 1; }
+      count=$((count + 1))
+    done
+    [ "$count" -gt 0 ] || { echo "no artifacts in $work/repros" >&2; exit 1; }
+    ;;
+
   frontier-bench)
     "$bin/bench_frontier" > "$work/frontier.out"
+    ;;
+
+  cli-args)
+    while read -r option tool args; do
+      status=0
+      "$bin/$tool" $args > /dev/null 2> "$work/err" || status=$?
+      [ "$status" -eq 2 ] ||
+        { echo "$tool $args: expected exit 2, got $status" >&2; exit 1; }
+      grep -qF -- "$option" "$work/err" ||
+        { echo "$tool $args: stderr does not name $option" >&2; exit 1; }
+    done <<'EOF'
+--depth bprc_explore --depth abc
+--n bprc_explore --n 2x
+--seeds bprc_torture --seeds abc
+--seeds bprc_torture --seeds 3x
+--frontier-split bprc_explore --protocol bprc --n 2 --inputs 0,1 --frontier-split 1/2x
+--shard bprc_torture --smoke --shard 0/3x
+EOF
     ;;
 
   *)

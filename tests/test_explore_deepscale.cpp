@@ -524,17 +524,38 @@ TEST(Isolate, BenignSegvSeedExploresClean) {
 TEST(Isolate, IsolationMatchesInlineDigestOnCleanProtocols) {
   // Fork-isolation is a crash containment wrapper, not a semantic change:
   // on a well-behaved protocol the isolated sweep lands on the inline
-  // sweep's digest.
-  ExploreLimits inline_limits = cell_limits(8, 3);
-  ExploreLimits isolated = inline_limits;
-  isolated.isolate_leaves = true;
-  const ConsensusExploreReport a = run_cell("bprc", {0, 1}, inline_limits);
-  const ConsensusExploreReport b = run_cell("bprc", {0, 1}, isolated);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.stats.schedule_digest, b.stats.schedule_digest);
-  EXPECT_EQ(a.stats.executions, b.stats.executions);
-  EXPECT_EQ(a.stats.states_visited, b.stats.states_visited);
+  // sweep's digest and tree counters. The second cell is the committed
+  // local-coin-regular-n2 frontier's: it has coin and stale-read nodes
+  // and seen-cache merges, so the parent's replay of each probed
+  // execution must rebuild every node kind and cache visit.
+  ExploreLimits bprc = cell_limits(8, 3);
+  ExploreLimits local_coin = cell_limits(16, 3);
+  local_coin.semantics = RegisterSemantics::kRegular;
+  local_coin.max_stale_reads = 2;
+  struct Cell {
+    const char* protocol;
+    ExploreLimits limits;
+  };
+  for (const Cell& cell : {Cell{"bprc", bprc}, Cell{"local-coin", local_coin}}) {
+    ExploreLimits isolated = cell.limits;
+    isolated.isolate_leaves = true;
+    const ConsensusExploreReport a = run_cell(cell.protocol, {0, 1}, cell.limits);
+    const ConsensusExploreReport b = run_cell(cell.protocol, {0, 1}, isolated);
+    ASSERT_TRUE(a.ok()) << cell.protocol;
+    ASSERT_TRUE(b.ok()) << cell.protocol;
+    if (cell.limits.semantics == RegisterSemantics::kRegular) {
+      EXPECT_GT(a.stats.states_merged, 0u);
+      EXPECT_GT(a.stats.coin_branches, 0u);
+      EXPECT_GT(a.stats.stale_branches, 0u);
+    }
+    EXPECT_EQ(a.stats.schedule_digest, b.stats.schedule_digest) << cell.protocol;
+    EXPECT_EQ(a.stats.executions, b.stats.executions) << cell.protocol;
+    EXPECT_EQ(a.stats.states_visited, b.stats.states_visited) << cell.protocol;
+    EXPECT_EQ(a.stats.states_merged, b.stats.states_merged) << cell.protocol;
+    EXPECT_EQ(a.stats.sleep_blocked, b.stats.sleep_blocked) << cell.protocol;
+    EXPECT_EQ(a.stats.coin_branches, b.stats.coin_branches) << cell.protocol;
+    EXPECT_EQ(a.stats.stale_branches, b.stats.stale_branches) << cell.protocol;
+  }
 }
 
 TEST(Isolate, LethalSegvSurfacesAsWorkerCrash) {

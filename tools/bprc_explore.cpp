@@ -33,6 +33,7 @@
 #include "explore/token_game_explore.hpp"
 #include "fault/protocols.hpp"
 #include "fault/repro.hpp"
+#include "util/record_text.hpp"
 #include "util/space_budget.hpp"
 
 namespace {
@@ -110,8 +111,9 @@ void usage(std::FILE* to) {
                "                     results are byte-identical at any J\n"
                "  --inputs CSV       explore one input cell (e.g. 0,1,1,0)\n"
                "                     instead of all 2^n vectors\n"
-               "  --isolate          grade each leaf in a fork()ed child\n"
-               "                     (crashes become worker-crash findings)\n"
+               "  --isolate          run each execution in a fork()ed child\n"
+               "                     first (crashes become worker-crash\n"
+               "                     findings)\n"
                "  --max-cache-mb M   seen-state cache budget; over it the\n"
                "                     cache evicts deep entries\n"
                "  --checkpoint-out F write a .bprc-frontier checkpoint to F\n"
@@ -139,6 +141,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
     }
     return argv[++i];
   };
+  auto bad = [](const char* option, const char* value) {
+    std::fprintf(stderr, "bprc_explore: bad %s '%s'\n", option, value);
+    return false;
+  };
+  auto number = [&](int& i, auto* out) {
+    const char* v = need_value(i);
+    if (v == nullptr) return false;
+    return record::parse_number(v, out) || bad(argv[i - 1], v);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = nullptr;
@@ -150,9 +161,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--no-state-cache") opt.state_cache = false;
     else if (arg == "--fresh-runtime") opt.reuse_runtime = false;
     else if (arg == "--protocol") { if (!(v = need_value(i))) return false; opt.protocols.push_back(v); }
-    else if (arg == "--n") { if (!(v = need_value(i))) return false; opt.n = std::atoi(v); }
-    else if (arg == "--depth") { if (!(v = need_value(i))) return false; opt.depth = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--coin-flips") { if (!(v = need_value(i))) return false; opt.coin_flips = std::strtoull(v, nullptr, 10); }
+    else if (arg == "--n") { if (!number(i, &opt.n)) return false; }
+    else if (arg == "--depth") { if (!number(i, &opt.depth)) return false; }
+    else if (arg == "--coin-flips") { if (!number(i, &opt.coin_flips)) return false; }
     else if (arg == "--register-semantics") {
       if (!(v = need_value(i))) return false;
       if (!register_semantics_from_string(v, &opt.semantics)) {
@@ -173,42 +184,43 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
       opt.space = *budget;
     }
-    else if (arg == "--max-stale-reads") { if (!(v = need_value(i))) return false; opt.max_stale_reads = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--budget") { if (!(v = need_value(i))) return false; opt.budget = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--seed") { if (!(v = need_value(i))) return false; opt.seed = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--moves") { if (!(v = need_value(i))) return false; opt.moves = std::atoi(v); }
-    else if (arg == "--K") { if (!(v = need_value(i))) return false; opt.strip_k = std::atoi(v); }
-    else if (arg == "--max-violations") { if (!(v = need_value(i))) return false; opt.max_violations = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--max-executions") { if (!(v = need_value(i))) return false; opt.max_executions = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--max-states") { if (!(v = need_value(i))) return false; opt.max_states = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--jobs") { if (!(v = need_value(i))) return false; opt.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10)); }
+    else if (arg == "--max-stale-reads") { if (!number(i, &opt.max_stale_reads)) return false; }
+    else if (arg == "--budget") { if (!number(i, &opt.budget)) return false; }
+    else if (arg == "--seed") { if (!number(i, &opt.seed)) return false; }
+    else if (arg == "--moves") { if (!number(i, &opt.moves)) return false; }
+    else if (arg == "--K") { if (!number(i, &opt.strip_k)) return false; }
+    else if (arg == "--max-violations") { if (!number(i, &opt.max_violations)) return false; }
+    else if (arg == "--max-executions") { if (!number(i, &opt.max_executions)) return false; }
+    else if (arg == "--max-states") { if (!number(i, &opt.max_states)) return false; }
+    else if (arg == "--jobs") { if (!number(i, &opt.jobs)) return false; }
     else if (arg == "--isolate") opt.isolate = true;
-    else if (arg == "--max-cache-mb") { if (!(v = need_value(i))) return false; opt.max_cache_mb = std::strtoull(v, nullptr, 10); }
+    else if (arg == "--max-cache-mb") { if (!number(i, &opt.max_cache_mb)) return false; }
     else if (arg == "--checkpoint-out") { if (!(v = need_value(i))) return false; opt.checkpoint_out = v; }
-    else if (arg == "--checkpoint-every") { if (!(v = need_value(i))) return false; opt.checkpoint_every = std::strtoull(v, nullptr, 10); }
+    else if (arg == "--checkpoint-every") { if (!number(i, &opt.checkpoint_every)) return false; }
     else if (arg == "--resume") { if (!(v = need_value(i))) return false; opt.resume_path = v; }
     else if (arg == "--frontier-split") {
       if (!(v = need_value(i))) return false;
-      char* slash = nullptr;
-      opt.split_index = static_cast<std::uint32_t>(std::strtoul(v, &slash, 10));
-      if (slash == nullptr || *slash != '/') {
-        std::fprintf(stderr, "bprc_explore: --frontier-split wants I/K\n");
-        return false;
+      const std::string_view text = v;
+      const std::size_t slash = text.find('/');
+      if (slash == std::string_view::npos ||
+          !record::parse_number(text.substr(0, slash), &opt.split_index) ||
+          !record::parse_number(text.substr(slash + 1), &opt.split_count)) {
+        return bad("--frontier-split", v);
       }
-      opt.split_count = static_cast<std::uint32_t>(std::strtoul(slash + 1, nullptr, 10));
     }
     else if (arg == "--inputs") {
       if (!(v = need_value(i))) return false;
       opt.inputs.clear();
-      const char* p = v;
-      while (*p != '\0') {
-        char* end = nullptr;
-        opt.inputs.push_back(static_cast<int>(std::strtol(p, &end, 10)));
-        if (end == p) {
-          std::fprintf(stderr, "bprc_explore: bad --inputs '%s'\n", v);
-          return false;
+      std::string_view rest = v;
+      while (true) {
+        const std::size_t comma = rest.find(',');
+        int input = 0;
+        if (!record::parse_number(rest.substr(0, comma), &input)) {
+          return bad("--inputs", v);
         }
-        p = *end == ',' ? end + 1 : end;
+        opt.inputs.push_back(input);
+        if (comma == std::string_view::npos) break;
+        rest.remove_prefix(comma + 1);
       }
     }
     else if (arg == "--out") { if (!(v = need_value(i))) return false; opt.out_dir = v; }
@@ -231,7 +243,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
   }
   if (opt.isolate && opt.jobs > 1) {
     std::fprintf(stderr,
-                 "bprc_explore: --isolate forks per leaf; use --jobs 1\n");
+                 "bprc_explore: --isolate forks per execution; use --jobs 1\n");
     return false;
   }
   if (opt.split_count > 1 && opt.split_index >= opt.split_count) {

@@ -58,6 +58,7 @@
 #include "fault/repro.hpp"
 #include "fault/shrink.hpp"
 #include "shard/coordinator.hpp"
+#include "util/record_text.hpp"
 #include "util/space_budget.hpp"
 #include "util/stats.hpp"
 #include "verify/weakmem/recorder.hpp"
@@ -184,6 +185,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
     }
     return argv[++i];
   };
+  auto bad = [](const char* option, const char* value) {
+    std::fprintf(stderr, "bprc_torture: bad %s '%s'\n", option, value);
+    return false;
+  };
+  auto number = [&](int& i, auto* out) {
+    const char* v = need_value(i);
+    if (v == nullptr) return false;
+    return record::parse_number(v, out) || bad(argv[i - 1], v);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = nullptr;
@@ -193,8 +203,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--list-protocols") opt.list_protocols = true;
     else if (arg == "--list-adversaries") opt.list_adversaries = true;
     else if (arg == "--jobs") {
-      if (!(v = need_value(i))) return false;
-      opt.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!number(i, &opt.jobs)) return false;
       opt.jobs_given = true;
     }
     else if (arg == "--native") opt.native = true;
@@ -204,10 +213,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.native = true;
     }
     else if (arg == "--check-sc") opt.check_sc = true;
-    else if (arg == "--iters") {
-      if (!(v = need_value(i))) return false;
-      opt.native_iters = std::atoi(v);
-    }
+    else if (arg == "--iters") { if (!number(i, &opt.native_iters)) return false; }
     else if (arg == "--quiet" || arg == "-q") opt.quiet = true;
     else if (arg == "--verbose" || arg == "-v") opt.verbose = true;
     else if (arg == "--replay") { if (!(v = need_value(i))) return false; opt.replay_path = v; }
@@ -236,32 +242,38 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.spaces.push_back(*budget);
     }
     else if (arg == "--adversary") { if (!(v = need_value(i))) return false; opt.adversaries.push_back(v); }
-    else if (arg == "--n") { if (!(v = need_value(i))) return false; opt.ns.push_back(std::atoi(v)); }
-    else if (arg == "--seeds") { if (!(v = need_value(i))) return false; opt.seeds = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--seed") { if (!(v = need_value(i))) return false; opt.seed0 = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--budget") { if (!(v = need_value(i))) return false; opt.budget = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--deadline-ms") { if (!(v = need_value(i))) return false; opt.deadline_ms = std::atoll(v); }
-    else if (arg == "--max-failures") { if (!(v = need_value(i))) return false; opt.max_failures = std::strtoull(v, nullptr, 10); }
+    else if (arg == "--n") {
+      int n = 0;
+      if (!number(i, &n)) return false;
+      opt.ns.push_back(n);
+    }
+    else if (arg == "--seeds") { if (!number(i, &opt.seeds)) return false; }
+    else if (arg == "--seed") { if (!number(i, &opt.seed0)) return false; }
+    else if (arg == "--budget") { if (!number(i, &opt.budget)) return false; }
+    else if (arg == "--deadline-ms") { if (!number(i, &opt.deadline_ms)) return false; }
+    else if (arg == "--max-failures") { if (!number(i, &opt.max_failures)) return false; }
     else if (arg == "--workers") {
-      if (!(v = need_value(i))) return false;
-      opt.workers = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!number(i, &opt.workers)) return false;
       opt.workers_given = true;
     }
-    else if (arg == "--reap") { if (!(v = need_value(i))) return false; opt.reap = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--reap-seed") { if (!(v = need_value(i))) return false; opt.reap_seed = std::strtoull(v, nullptr, 10); }
-    else if (arg == "--max-respawns") { if (!(v = need_value(i))) return false; opt.max_respawns = std::atoi(v); }
-    else if (arg == "--heartbeat-ms") { if (!(v = need_value(i))) return false; opt.heartbeat_ms = std::atoll(v); }
+    else if (arg == "--reap") { if (!number(i, &opt.reap)) return false; }
+    else if (arg == "--reap-seed") { if (!number(i, &opt.reap_seed)) return false; }
+    else if (arg == "--max-respawns") { if (!number(i, &opt.max_respawns)) return false; }
+    else if (arg == "--heartbeat-ms") { if (!number(i, &opt.heartbeat_ms)) return false; }
     else if (arg == "--shard") {
       if (!(v = need_value(i))) return false;
-      unsigned long long si = 0;
-      unsigned long long sk = 0;
-      if (std::sscanf(v, "%llu/%llu", &si, &sk) != 2 || sk == 0 || si >= sk) {
+      const std::string_view text = v;
+      const std::size_t slash = text.find('/');
+      if (slash == std::string_view::npos ||
+          !record::parse_number(text.substr(0, slash), &opt.shard_index) ||
+          !record::parse_number(text.substr(slash + 1), &opt.shard_count)) {
+        return bad("--shard", v);
+      }
+      if (opt.shard_index >= opt.shard_count) {
         std::fprintf(stderr,
                      "bprc_torture: --shard wants I/K with 0 <= I < K\n");
         return false;
       }
-      opt.shard_index = static_cast<std::size_t>(si);
-      opt.shard_count = static_cast<std::size_t>(sk);
       opt.shard_given = true;
     }
     else if (arg == "--shard-out") { if (!(v = need_value(i))) return false; opt.shard_out = v; }
