@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -23,15 +24,11 @@ std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
 class Search {
  public:
   explicit Search(const std::vector<RegOp>& history)
-      : ops_(history),
+      : ops_(by_invocation(history, sorted_)),
         n_(history.size()),
         next_(n_ + 1),
         prev_(n_ + 1),
         done_(n_, 0) {
-    std::stable_sort(ops_.begin(), ops_.end(),
-                     [](const RegOp& a, const RegOp& b) {
-                       return a.inv < b.inv;
-                     });
     for (std::size_t i = 0; i <= n_; ++i) {
       next_[i] = i == n_ ? 0 : i + 1;
       prev_[i] = i == 0 ? n_ : i - 1;
@@ -40,7 +37,9 @@ class Search {
 
   bool run(std::uint64_t initial_value) {
     if (n_ == 0) return true;
-    std::vector<Frame> stack{{initial_value, kNoRes, next_[n_]}};
+    std::vector<Frame> stack;
+    stack.reserve(n_);  // one level per linearized op at most
+    stack.push_back({initial_value, kNoRes, next_[n_]});
     while (true) {
       Frame& f = stack.back();
       const std::size_t i = next_candidate(f);
@@ -67,6 +66,19 @@ class Search {
 
  private:
   static constexpr std::uint64_t kNoRes = ~std::uint64_t{0};
+
+  /// The history itself when it is already in invocation order (as an SC
+  /// order's per-location histories are), else a stably sorted copy.
+  static std::span<const RegOp> by_invocation(
+      const std::vector<RegOp>& history, std::vector<RegOp>& copy) {
+    const auto by_inv = [](const RegOp& a, const RegOp& b) {
+      return a.inv < b.inv;
+    };
+    if (std::is_sorted(history.begin(), history.end(), by_inv)) return history;
+    copy = history;
+    std::stable_sort(copy.begin(), copy.end(), by_inv);
+    return copy;
+  }
 
   /// One search level: the register value in this state, and the walk
   /// over its pending ops. While a child level is live, `cursor` is the op
@@ -151,7 +163,8 @@ class Search {
     dead_.emplace(key(value), std::move(s));
   }
 
-  std::vector<RegOp> ops_;  ///< the history, sorted by invocation
+  std::vector<RegOp> sorted_;    ///< the sorted copy, when one is needed
+  std::span<const RegOp> ops_;  ///< the history, sorted by invocation
   std::size_t n_;
   std::vector<std::size_t> next_, prev_;
   std::vector<char> done_;

@@ -43,7 +43,8 @@ struct LinResult {
 };
 
 /// Checks whether `history` is linearizable as a single atomic register
-/// with the given initial value. Histories of any length are accepted.
+/// with the given initial value. Histories of any length are accepted; one
+/// already in invocation order is searched in place, without a sorted copy.
 LinResult check_register_linearizable(const std::vector<RegOp>& history,
                                       std::uint64_t initial_value);
 

@@ -48,7 +48,7 @@ bool read_line(record::Reader& r, Recording* rec, std::size_t* actions) {
   if (key == "threads") {
     std::size_t k = 0;
     if (!(r.num(&k) && r.eol())) return false;
-    if (k > 4096) return r.malformed("at most 4096 threads");
+    if (k > kMaxArtifactThreads) return r.malformed("at most 4096 threads");
     rec->logs.resize(k);
     return true;
   }

@@ -19,6 +19,9 @@
 
 namespace bprc::weakmem {
 
+/// The most threads a `.bprc-weakmem` artifact may declare.
+inline constexpr std::size_t kMaxArtifactThreads = 4096;
+
 /// A complete recorded native execution: the location table plus one
 /// program-ordered action list per thread.
 struct Recording {

@@ -1,8 +1,8 @@
 // Offline sequential-consistency checking over recorded action lists, in
 // the style of CDSChecker/scfence.
 //
-// Given a Recording, the checker materializes the execution's
-// happens-before relation as the union of four edge families:
+// Given a Recording, the checker decides whether the execution's
+// happens-before relation, the union of four edge families, is acyclic:
 //
 //   po — sequenced-before: consecutive actions of the same thread;
 //   rf — reads-from: the write of version v on a location precedes every
@@ -12,19 +12,30 @@
 //        version v+1 (it demonstrably executed before that write).
 //
 // The execution is explainable by a sequentially consistent total order
-// iff po ∪ rf ∪ mo ∪ fr is acyclic (Shasha–Snir). The edges live in one
-// flat CSR array, and a deterministic topological sort (Kahn, smallest
-// action id first) decides acyclicity: it orders every action iff there
-// is no cycle, in O((n + m) log n) time for n actions and m edges.
+// iff po ∪ rf ∪ mo ∪ fr is acyclic (Shasha–Snir). The checker finds that
+// order without building the relation, in one sweep over the per-thread
+// logs (as CDSChecker's scfence builds its SC list): only thread heads
+// can be ready, a load once its version is emitted, a write once the
+// previous version and every load of it are. A blocked head waits on a
+// wake list keyed by the condition it lacks, so no head is re-examined
+// per emitted action. For n actions of T threads on L locations the
+// sweep costs O(n + L + T), plus, per emitted action, two
+// count-trailing-zero steps per 4096 threads to find the lowest-numbered
+// ready thread: O(1) up to the artifact loader's cap,
+// kMaxArtifactThreads = 4096. Ids are thread-major, so the order is the
+// one a smallest-id-first Kahn sort of the relation gives, and the sweep
+// orders every action iff there is no cycle.
 //
-// When the sort is total it is the SC total order, which is re-validated
-// through the existing Wing–Gong linearizability checker: each location's
-// actions become a sequential RegOp history (read-your-latest-write
-// semantics), so native runs are graded by exactly the oracle the
-// simulator uses. When it is not, a strongly-connected-component pass
-// picks the first edge a→b (by source id, then edge order) whose
-// endpoints share a component, and the checker reports the cycle path
-// b ⇝ a → b as a human-readable witness.
+// When the sweep is total its order is the SC total order, which is
+// re-validated through the existing Wing–Gong linearizability checker:
+// each location's actions become a sequential RegOp history
+// (read-your-latest-write semantics), so native runs are graded by
+// exactly the oracle the simulator uses. When the sweep stalls, and only
+// then, the relation among the actions it left unordered is built as one
+// flat CSR edge array; a strongly-connected-component pass picks the
+// first edge a→b (by source id, then edge order) whose endpoints share a
+// component, and the checker reports the cycle path b ⇝ a → b as a
+// human-readable witness.
 //
 // Scope: this is a *dynamic* analysis of one observed execution, like
 // TSAN — it proves this run SC or exhibits this run's violation; it does

@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <queue>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -348,6 +353,171 @@ TEST(WeakMem, LongSingleLocationRecording) {
   EXPECT_TRUE(stale.well_formed);
   EXPECT_FALSE(stale.sc);
   EXPECT_NE(stale.witness.find("cycle closes here"), std::string::npos);
+}
+
+// ---- differential test against an explicit-graph reference ------------
+
+/// The reference order: every po, rf, mo and fr edge listed explicitly,
+/// then Kahn's sort taking the smallest ready thread-major id first. It
+/// orders every action iff po ∪ rf ∪ mo ∪ fr is acyclic.
+std::vector<std::size_t> reference_order(const Recording& rec) {
+  std::vector<const MemAction*> acts;
+  std::map<std::pair<int, std::uint64_t>, std::size_t> writer;  // (loc, v)
+  for (const auto& log : rec.logs) {
+    for (const MemAction& a : log) {
+      if (a.kind != kLoad) writer[{a.location, a.mo}] = acts.size();
+      acts.push_back(&a);
+    }
+  }
+  std::vector<std::vector<std::size_t>> succ(acts.size());
+  std::vector<std::size_t> indegree(acts.size(), 0);
+  const auto edge = [&](std::size_t a, std::size_t b) {
+    succ[a].push_back(b);
+    ++indegree[b];
+  };
+  for (std::size_t id = 0; id < acts.size(); ++id) {
+    const MemAction& a = *acts[id];
+    if (a.seq > 0) edge(id - 1, id);  // po
+    if (a.kind != kStore) {
+      if (a.rf > 0) edge(writer.at({a.location, a.rf}), id);  // rf
+      const auto over = writer.find({a.location, a.rf + 1});    // fr
+      if (over != writer.end() && over->second != id) edge(id, over->second);
+    }
+    if (a.kind != kLoad && a.mo > 1) {
+      edge(writer.at({a.location, a.mo - 1}), id);  // mo
+    }
+  }
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      ready;
+  for (std::size_t id = 0; id < acts.size(); ++id) {
+    if (indegree[id] == 0) ready.push(id);
+  }
+  std::vector<std::size_t> order;
+  while (!ready.empty()) {
+    const std::size_t id = ready.top();
+    ready.pop();
+    order.push_back(id);
+    for (const std::size_t b : succ[id]) {
+      if (--indegree[b] == 0) ready.push(b);
+    }
+  }
+  return order;
+}
+
+/// A seeded recording of one interleaving: `actions` loads, stores and
+/// RMWs by `threads` threads over `locations` multi-writer locations. A
+/// load reads the latest version, except one in `stale_one_in` (0: none)
+/// reads a random older one, which may close a cycle. `plant` appends a
+/// store-buffering cycle on two extra locations.
+Recording random_recording(std::uint64_t seed, std::size_t threads,
+                           std::size_t locations, std::size_t actions,
+                           std::uint64_t stale_one_in, bool plant) {
+  Recording rec;
+  rec.logs.resize(threads);
+  std::vector<std::vector<std::uint64_t>> versions;  // payload per version
+  const auto add_location = [&](std::uint64_t initial) {
+    rec.locations.push_back({"l" + std::to_string(versions.size()), initial});
+    versions.push_back({initial});
+    return static_cast<int>(versions.size()) - 1;
+  };
+  for (std::size_t l = 0; l < locations; ++l) add_location(l % 2);
+  const auto append = [&](std::size_t t, int l, MemAction::Kind kind,
+                          std::uint64_t value, std::uint64_t rf) {
+    MemAction a;
+    a.thread = static_cast<ProcId>(t);
+    a.seq = static_cast<std::uint32_t>(rec.logs[t].size());
+    a.location = l;
+    a.kind = kind;
+    a.order = static_cast<std::uint8_t>(std::memory_order_seq_cst);
+    a.value = value;
+    a.rf = rf;
+    auto& v = versions[static_cast<std::size_t>(l)];
+    if (kind != kLoad) {
+      v.push_back(value);
+      a.mo = v.size() - 1;
+    }
+    rec.logs[t].push_back(a);
+  };
+  Rng rng(seed);
+  for (std::size_t i = 0; i < actions; ++i) {
+    const std::size_t t = rng.below(threads);
+    const auto l = static_cast<int>(rng.below(locations));
+    const auto& v = versions[static_cast<std::size_t>(l)];
+    const std::uint64_t latest = v.size() - 1;
+    switch (rng.below(3)) {
+      case 0: {
+        const bool stale = stale_one_in != 0 && rng.below(stale_one_in) == 0;
+        const std::uint64_t rf = stale ? rng.below(v.size()) : latest;
+        append(t, l, kLoad, v[rf], rf);
+        break;
+      }
+      case 1: append(t, l, kStore, rng.below(4), 0); break;
+      default: append(t, l, kRmw, rng.below(4), latest); break;
+    }
+  }
+  if (plant) {  // A: W x; R y (initial)   B: W y; R x (initial)
+    const int x = add_location(0), y = add_location(0);
+    const std::size_t a = rng.below(threads);
+    const std::size_t b = (a + 1 + rng.below(threads - 1)) % threads;
+    append(a, x, kStore, 1, 0);
+    append(b, y, kStore, 1, 0);
+    append(a, y, kLoad, 0, 0);
+    append(b, x, kLoad, 0, 0);
+  }
+  return rec;
+}
+
+/// check_sc's verdict and order must equal the reference's.
+void expect_matches_reference(const Recording& rec, std::size_t* sc,
+                              std::size_t* cyclic) {
+  const std::vector<std::size_t> expect = reference_order(rec);
+  const bool acyclic = expect.size() == rec.total_actions();
+  const SCResult res = check_sc(rec);
+  ASSERT_TRUE(res.well_formed) << res.witness;
+  ASSERT_EQ(res.sc, acyclic) << res.witness;
+  if (acyclic) {
+    EXPECT_TRUE(res.coherent) << res.witness;
+    EXPECT_EQ(res.order, expect);
+    ++*sc;
+  } else {
+    EXPECT_TRUE(res.order.empty());
+    EXPECT_NE(res.witness.find("cycle closes here"), std::string::npos);
+    ++*cyclic;
+  }
+}
+
+TEST(WeakMemDifferential, SweepMatchesExplicitGraphKahn) {
+  std::size_t sc = 0, cyclic = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng shape(seed * 0x9E3779B97F4A7C15ULL);
+    const std::size_t threads = 2 + shape.below(7);  // 2..8
+    const std::size_t locations = 1 + shape.below(4);
+    const std::size_t actions = 1 + shape.below(160);
+    constexpr std::uint64_t kStaleOneIn[] = {0, 40, 6};
+    const std::uint64_t stale_one_in = kStaleOneIn[seed % 3];
+    const bool plant = seed % 5 == 0;
+    expect_matches_reference(random_recording(seed, threads, locations,
+                                               actions, stale_one_in, plant),
+                             &sc, &cyclic);
+  }
+  // Both verdicts must be well represented, or the comparison is weak.
+  EXPECT_GE(sc, 60u);
+  EXPECT_GE(cyclic, 60u);
+}
+
+TEST(WeakMemDifferential, SweepMatchesAtTheArtifactThreadCap) {
+  std::size_t sc = 0, cyclic = 0;
+  expect_matches_reference(
+      random_recording(7, kMaxArtifactThreads, 3, 3 * kMaxArtifactThreads, 0,
+                       false),
+      &sc, &cyclic);
+  expect_matches_reference(
+      random_recording(8, kMaxArtifactThreads, 3, 3 * kMaxArtifactThreads, 0,
+                       true),
+      &sc, &cyclic);
+  EXPECT_EQ(sc, 1u);
+  EXPECT_EQ(cyclic, 1u);
 }
 
 TEST(WeakMem, DescribeActionIsReadable) {

@@ -584,7 +584,7 @@ int finish_report(const Options& opt, CampaignReport& report, double secs) {
 /// --native: run native-atomics cases on real threads, graded by the SC
 /// checker (--check-sc) and — for the consensus case — the standard
 /// oracle. Exit 0 iff every selected case behaved; the ctest native tier
-/// runs broken cases under WILL_FAIL, same idiom as broken protocols.
+/// passes a broken case on its printed cycle witness.
 int run_native_mode(const Options& opt) {
   std::vector<std::string> selected;
   if (!opt.native_case.empty()) {
