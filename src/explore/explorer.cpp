@@ -526,9 +526,9 @@ class Explorer final : public FlipTape, public TraceSink {
   /// leaf a finished run the full oracle can grade. The parallel grading
   /// path replays exactly this tail (leaf_grader.cpp's LeafAdversary).
   ProcId tail_pick(std::uint64_t runnable) {
-    const ProcId last = exec_schedule_.empty() ? -1 : exec_schedule_.back();
-    for (int i = 1; i <= nprocs_; ++i) {
-      const ProcId p = static_cast<ProcId>((last + i) % nprocs_);
+    ProcId p = exec_schedule_.empty() ? -1 : exec_schedule_.back();
+    for (int i = 0; i < nprocs_; ++i) {
+      if (++p >= nprocs_) p = 0;
       if ((runnable & bit_of(p)) != 0) {
         record_pick(p);
         return p;

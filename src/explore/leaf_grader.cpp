@@ -33,8 +33,9 @@ class LeafAdversary final : public Adversary {
                        (runnable >> static_cast<unsigned>(p)) & 1,
                    "leaf replay diverged: scripted pick not runnable");
     } else {
-      for (int i = 1; i <= nprocs_; ++i) {
-        const ProcId q = static_cast<ProcId>((last_ + i) % nprocs_);
+      ProcId q = last_;
+      for (int i = 0; i < nprocs_; ++i) {
+        if (++q >= nprocs_) q = 0;
         if ((runnable >> static_cast<unsigned>(q)) & 1) {
           p = q;
           break;

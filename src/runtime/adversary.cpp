@@ -87,8 +87,9 @@ int RandomAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 
 ProcId RoundRobinAdversary::pick(SimCtl& ctl) {
   const int n = ctl.nprocs();
-  for (int offset = 1; offset <= n; ++offset) {
-    const ProcId p = static_cast<ProcId>((last_ + offset) % n);
+  ProcId p = last_;
+  for (int offset = 0; offset < n; ++offset) {
+    if (++p >= n) p = 0;
     if (ctl.view(p).runnable) {
       last_ = p;
       return p;

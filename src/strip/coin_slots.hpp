@@ -57,7 +57,7 @@ struct CoinSlots {
   int K() const { return static_cast<int>(slots.size()) - 1; }
 
   /// §5 `next(current_coin)`.
-  int next_index() const { return (current + 1) % (K() + 1); }
+  int next_index() const { return current == K() ? 0 : current + 1; }
 
   /// Contribution to the coin of the owner's round r+1 (the one being
   /// flipped while the owner sits in round r).
@@ -73,8 +73,9 @@ struct CoinSlots {
   /// (current_coin_j − w(j,i) + 1) mod (K+1).
   int slot_for_trailing(int w) const {
     BPRC_REQUIRE(w >= 0 && w < K(), "trailing distance must be in [0, K)");
-    const int kk = K() + 1;
-    return ((current - w + 1) % kk + kk) % kk;
+    const int slot = current - w + 1;  // ∈ [2−K, K+1] for current ∈ {0..K}
+    if (slot < 0) return slot + K() + 1;
+    return slot > K() ? slot - K() - 1 : slot;
   }
 
   std::int64_t read_for_trailing(int w) const {

@@ -59,8 +59,8 @@ inline std::optional<int> decode_edge(std::uint8_t e_ij, std::uint8_t e_ji,
                                       int K, int cycle) {
   BPRC_REQUIRE(cycle > 2 * K, "edge cycle must exceed 2K to decode");
   BPRC_REQUIRE(e_ij < cycle && e_ji < cycle, "edge counter out of cycle");
-  const int d = (static_cast<int>(e_ij) - static_cast<int>(e_ji) + cycle) %
-                cycle;
+  int d = static_cast<int>(e_ij) - static_cast<int>(e_ji);
+  if (d < 0) d += cycle;
   if (d <= K) return d;            // i leads (or tie at 0)
   if (cycle - d <= K) return -(cycle - d);  // j leads
   return std::nullopt;
@@ -124,7 +124,8 @@ inline void inc_counters(int i, const DistanceGraph& g, EdgeCounters& row,
                          static_cast<std::size_t>(i)];
     if (extend || catch_up) {
       auto& e = row[static_cast<std::size_t>(j)];
-      e = static_cast<std::uint8_t>((e + 1) % cycle);
+      BPRC_REQUIRE(e < cycle, "edge counter out of cycle");
+      e = static_cast<std::uint8_t>(e + 1 == cycle ? 0 : e + 1);
     }
   }
 }

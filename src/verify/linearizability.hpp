@@ -13,8 +13,12 @@
 // only until the first op invoked after some walked op responded (Lowe's
 // just-in-time frontier): a level costs O(concurrency), not O(history).
 // The memo is probed through an incrementally maintained hash of the
-// done-set. A sequential history is therefore checked in O(n log n);
-// runtime is exponential only in the history's *concurrency*.
+// done-set, so runtime is exponential only in the history's
+// *concurrency*. A sequential history, in which each op responds strictly
+// before the next one is invoked, has exactly one linearization and is
+// not searched: one O(n) replay checks that every read returns the latest
+// write. An op whose response equals the next one's invocation overlaps
+// it, so such a history is searched.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +47,9 @@ struct LinResult {
 };
 
 /// Checks whether `history` is linearizable as a single atomic register
-/// with the given initial value. Histories of any length are accepted; one
-/// already in invocation order is searched in place, without a sorted copy.
+/// with the given initial value. Histories of any length are accepted; a
+/// sequential one is replayed, and one already in invocation order is
+/// searched in place, without a sorted copy.
 LinResult check_register_linearizable(const std::vector<RegOp>& history,
                                       std::uint64_t initial_value);
 

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <deque>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <utility>
 
+#include "util/assert.hpp"
 #include "verify/linearizability.hpp"
 
 namespace bprc::weakmem {
@@ -36,14 +37,6 @@ struct Ids {
     }
   }
   std::size_t size() const { return base.back(); }
-  std::size_t of(const MemAction& a) const {
-    return base[static_cast<std::size_t>(a.thread)] + a.seq;
-  }
-  const MemAction& action(const Recording& rec, std::size_t id) const {
-    const auto t = static_cast<std::size_t>(
-        std::upper_bound(base.begin(), base.end(), id) - base.begin() - 1);
-    return rec.logs[t][id - base[t]];
-  }
 };
 
 /// Per-location index: writers keyed by modification-order version.
@@ -62,25 +55,37 @@ std::string fail(const Recording& rec, const MemAction& a,
   return describe_action(rec, a) + ": " + reason;
 }
 
-/// Validates the version bookkeeping the ordering relies on. Returns the
-/// per-location writer index; on failure sets `witness`.
+/// Validates the log and the version bookkeeping the ordering relies on.
+/// Returns the per-location writer index; on failure sets `witness`.
 bool build_location_index(const Recording& rec,
                           std::vector<LocationIndex>& index,
                           std::string& witness) {
   index.assign(rec.locations.size(), {});
-  // Count writes per location so version ranges can be validated.
+  // Count writes per location so version ranges can be validated. The
+  // same pass checks log integrity: entry (t, i) must claim thread t and
+  // seq i — loaded artifacts are untrusted input. A bad entry anywhere is
+  // reported before the first out-of-range location.
   std::vector<std::size_t> writes(rec.locations.size(), 0);
-  for (const auto& log : rec.logs) {
-    for (const MemAction& a : log) {
-      if (a.location < 0 ||
-          static_cast<std::size_t>(a.location) >= rec.locations.size()) {
-        witness = fail(rec, a, "location id out of range");
+  const MemAction* stray = nullptr;  // first action with a bad location
+  for (std::size_t t = 0; t < rec.logs.size(); ++t) {
+    for (std::size_t i = 0; i < rec.logs[t].size(); ++i) {
+      const MemAction& a = rec.logs[t][i];
+      if (static_cast<std::size_t>(a.thread) != t ||
+          static_cast<std::size_t>(a.seq) != i) {
+        witness = fail(rec, a, "log entry thread/seq inconsistent");
         return false;
       }
-      if (a.kind != MemAction::Kind::kLoad) {
+      if (a.location < 0 ||
+          static_cast<std::size_t>(a.location) >= rec.locations.size()) {
+        if (stray == nullptr) stray = &a;
+      } else if (a.kind != MemAction::Kind::kLoad) {
         ++writes[static_cast<std::size_t>(a.location)];
       }
     }
+  }
+  if (stray != nullptr) {
+    witness = fail(rec, *stray, "location id out of range");
+    return false;
   }
   for (std::size_t l = 0; l < index.size(); ++l) {
     index[l].writers.assign(writes[l], nullptr);
@@ -142,8 +147,8 @@ bool build_location_index(const Recording& rec,
 constexpr std::size_t kNone = SIZE_MAX;
 
 /// The set of threads whose head action is ready, as a two-level bitset:
-/// lowest() finds the least member with two count-trailing-zero steps
-/// per 4096 threads.
+/// pop_lowest() removes the least member with two count-trailing-zero
+/// steps per 4096 threads.
 class ReadySet {
  public:
   explicit ReadySet(std::size_t threads)
@@ -154,14 +159,13 @@ class ReadySet {
     words_[t / 64] |= bit(t);
     summary_[t / 4096] |= bit(t / 64);
   }
-  void erase(std::size_t t) {
-    if ((words_[t / 64] &= ~bit(t)) == 0) summary_[t / 4096] &= ~bit(t / 64);
-  }
-  std::size_t lowest() const {
+  std::size_t pop_lowest() {
     for (std::size_t s = 0; s < summary_.size(); ++s) {
       if (summary_[s] == 0) continue;
       const std::size_t w = s * 64 + std::countr_zero(summary_[s]);
-      return w * 64 + std::countr_zero(words_[w]);
+      const std::size_t t = w * 64 + std::countr_zero(words_[w]);
+      if ((words_[w] &= words_[w] - 1) == 0) summary_[s] &= ~bit(w);
+      return t;
     }
     return kNone;
   }
@@ -189,10 +193,13 @@ class ReadySet {
 /// next version, the loads of the current one drained (one slot per
 /// location). Each head is examined when it becomes head and once per
 /// wake, at most twice for a write, so a sweep is O(n) plus the search
-/// for the lowest ready thread. Appends each location's RegOp history in
-/// the same pass. Returns false iff the sweep stalls, i.e. iff the graph
-/// has a cycle; `head[t]` is then the first of thread t's actions left
-/// unordered.
+/// for the lowest ready thread. That search runs only on a switch: a
+/// thread keeps emitting while its next head is ready and the emission
+/// woke no lower-numbered thread, since readiness only grows and it is
+/// then still the lowest ready one. Appends each location's RegOp history
+/// in the same pass. Returns false iff the sweep stalls, i.e. iff the
+/// graph has a cycle; `head[t]` is then the first of thread t's actions
+/// left unordered.
 bool sweep(const Recording& rec, const Ids& ids,
            std::vector<LocationIndex>& index, std::vector<std::size_t>& head,
            std::vector<std::size_t>& order,
@@ -213,8 +220,10 @@ bool sweep(const Recording& rec, const Ids& ids,
   }
   ReadySet ready(threads);
 
+  // Whether t's head is ready; if not, files it on the wake list or the
+  // drain slot of the condition it lacks.
   const auto consider = [&](std::size_t t) {
-    if (head[t] == rec.logs[t].size()) return;
+    if (head[t] == rec.logs[t].size()) return false;
     const MemAction& a = rec.logs[t][head[t]];
     const auto l = static_cast<std::size_t>(a.location);
     Location& loc = locs[l];
@@ -223,16 +232,28 @@ bool sweep(const Recording& rec, const Ids& ids,
     if (loc.emitted < need) {
       next_waiter[t] = loc.waiting[need];
       loc.waiting[need] = t;
-    } else if (a.kind != MemAction::Kind::kLoad && index[l].loads[need] > 0) {
+      return false;
+    }
+    if (a.kind != MemAction::Kind::kLoad && index[l].loads[need] > 0) {
       loc.drainer = t;
-    } else {
-      ready.insert(t);
+      return false;
+    }
+    return true;
+  };
+  std::size_t woken = kNone;  // least thread the last emission made ready
+  const auto wake = [&](std::size_t w) {
+    if (consider(w)) {
+      ready.insert(w);
+      woken = std::min(woken, w);
     }
   };
 
-  for (std::size_t t = 0; t < threads; ++t) consider(t);
+  for (std::size_t t = 0; t < threads; ++t) {
+    if (consider(t)) ready.insert(t);
+  }
   order.reserve(ids.size());
-  for (std::size_t t; (t = ready.lowest()) != kNone;) {
+  // t, the lowest ready thread, stays out of `ready` while it emits.
+  for (std::size_t t = ready.pop_lowest(); t != kNone;) {
     const MemAction& a = rec.logs[t][head[t]];
     const auto l = static_cast<std::size_t>(a.location);
     Location& loc = locs[l];
@@ -240,61 +261,91 @@ bool sweep(const Recording& rec, const Ids& ids,
     order.push_back(ids.base[t] + head[t]);
     histories[l].push_back({a.kind != MemAction::Kind::kLoad, a.value, 2 * pos,
                             2 * pos + 1, a.thread});
-    ready.erase(t);
     ++head[t];
+    woken = kNone;
     if (a.kind == MemAction::Kind::kLoad) {
       if (--index[l].loads[a.rf] == 0 && a.rf == loc.emitted &&
           loc.drainer != kNone) {
-        consider(std::exchange(loc.drainer, kNone));
+        wake(std::exchange(loc.drainer, kNone));
       }
     } else {
       loc.emitted = a.mo;
       for (std::size_t w = loc.waiting[a.mo]; w != kNone;) {
         const std::size_t next = next_waiter[w];
-        consider(w);
+        wake(w);
         w = next;
       }
     }
-    consider(t);
+    if (consider(t)) {
+      if (woken > t) continue;
+      ready.insert(t);
+    }
+    t = ready.pop_lowest();
   }
   return order.size() == ids.size();
 }
 
-/// The happens-before edges as one flat CSR array: the successors of
-/// action a are succ[first[a] .. first[a + 1]), in emission order.
-struct Graph {
-  std::vector<std::size_t> first;
-  std::vector<std::size_t> succ;
+/// A dense id of an action the sweep left unordered; also an edge offset.
+using Node = std::uint32_t;
+constexpr Node kNoNode = UINT32_MAX;
 
-  std::size_t size() const { return first.size() - 1; }
-  std::span<const std::size_t> out(std::size_t a) const {
-    return {succ.data() + first[a], first[a + 1] - first[a]};
+/// The actions the sweep left unordered, thread t's from seq `live[t]` on,
+/// numbered densely in thread-major order. The numbering keeps the order
+/// of global ids, so a witness built on it names the same cycle.
+struct Dense {
+  std::vector<Node> base;  ///< first id per thread, then the total
+  const std::vector<std::size_t>& live;
+
+  Dense(const Recording& rec, const std::vector<std::size_t>& live_from)
+      : base(rec.logs.size() + 1, 0), live(live_from) {
+    std::size_t total = 0;
+    for (std::size_t t = 0; t < rec.logs.size(); ++t) {
+      base[t] = static_cast<Node>(total);
+      total += rec.logs[t].size() - live[t];
+      // At most three edges per action (see for_each_edge): every id and
+      // every edge offset fits a Node.
+      BPRC_REQUIRE(total <= (kNoNode - 1) / 3,
+                   "too many unordered actions for a cycle witness");
+    }
+    base.back() = static_cast<Node>(total);
+  }
+  std::size_t size() const { return base.back(); }
+  Node of(const MemAction& a) const {
+    const auto t = static_cast<std::size_t>(a.thread);
+    return base[t] + static_cast<Node>(a.seq - live[t]);
+  }
+  const MemAction& action(const Recording& rec, Node id) const {
+    const auto t = static_cast<std::size_t>(
+        std::upper_bound(base.begin(), base.end(), id) - base.begin() - 1);
+    return rec.logs[t][live[t] + id - base[t]];
   }
 };
 
 /// Calls edge(a, b) for every po, rf, fr and mo edge between actions the
-/// sweep left unordered: thread t's from seq `live[t]` on. An ordered
-/// action lies on no cycle and no edge leads from an unordered action to
-/// it, so this subgraph has every cycle and every path between unordered
-/// actions. The order is fixed: it decides which cycle edge a witness
+/// sweep left unordered, by dense id. An ordered action lies on no cycle
+/// and no edge leads from an unordered action to it, so this subgraph has
+/// every cycle and every path between unordered actions. Each action is
+/// the head of at most three edges: po and rf and fr for a load, po and
+/// rf and mo for an RMW (whose fr overwriter is itself), po and mo for a
+/// store. The order is fixed: it decides which cycle edge a witness
 /// reports and the path it prints.
 template <class Edge>
-void for_each_edge(const Recording& rec, const Ids& ids,
-                   const std::vector<LocationIndex>& index,
-                   const std::vector<std::size_t>& live, Edge&& edge) {
+void for_each_edge(const Recording& rec, const Dense& ids,
+                   const std::vector<LocationIndex>& index, Edge&& edge) {
+  const std::vector<std::size_t>& live = ids.live;
   const auto unordered = [&](const MemAction& a) {
     return a.seq >= live[static_cast<std::size_t>(a.thread)];
   };
   // po: consecutive actions of one thread.
   for (std::size_t t = 0; t < rec.logs.size(); ++t) {
-    for (std::size_t i = live[t] + 1; i < rec.logs[t].size(); ++i) {
-      edge(ids.base[t] + i - 1, ids.base[t] + i);
+    for (Node id = ids.base[t] + 1; id < ids.base[t + 1]; ++id) {
+      edge(id - 1, id);
     }
   }
   for (std::size_t t = 0; t < rec.logs.size(); ++t) {
-    for (std::size_t i = live[t]; i < rec.logs[t].size(); ++i) {
+    Node id = ids.base[t];
+    for (std::size_t i = live[t]; i < rec.logs[t].size(); ++i, ++id) {
       const MemAction& a = rec.logs[t][i];
-      const std::size_t id = ids.base[t] + i;
       const auto& writers = index[static_cast<std::size_t>(a.location)].writers;
       if (a.kind != MemAction::Kind::kStore) {
         // rf: the write this read observed precedes it.
@@ -316,95 +367,89 @@ void for_each_edge(const Recording& rec, const Ids& ids,
   }
 }
 
-/// Builds the CSR graph in two passes: count out-degrees, then fill.
-Graph build_edges(const Recording& rec, const Ids& ids,
-                  const std::vector<LocationIndex>& index,
-                  const std::vector<std::size_t>& live) {
-  const std::size_t n = ids.size();
-  Graph g;
-  g.first.assign(n + 1, 0);
-  for_each_edge(rec, ids, index, live,
-                [&](std::size_t a, std::size_t) { ++g.first[a + 1]; });
-  for (std::size_t a = 0; a < n; ++a) g.first[a + 1] += g.first[a];
-  g.succ.resize(g.first[n]);
-  std::vector<std::size_t> fill(g.first.begin(), g.first.end() - 1);
-  for_each_edge(rec, ids, index, live, [&](std::size_t a, std::size_t b) {
-    g.succ[fill[a]++] = b;
-  });
-  return g;
-}
+/// The happens-before edges among the unordered actions as one flat CSR
+/// array: the successors of a are succ[first[a] .. first[a + 1]), in
+/// for_each_edge's order.
+struct Graph {
+  std::size_t n;
+  const Node* first;
+  const Node* succ;
+
+  std::span<const Node> out(Node a) const {
+    return {succ + first[a], first[a + 1] - first[a]};
+  }
+};
 
 /// Strongly connected components (iterative Tarjan): comp[a] == comp[b]
-/// iff a and b lie on a common cycle.
-std::vector<std::size_t> components(const Graph& g) {
-  const std::size_t n = g.size();
-  std::vector<std::size_t> index(n, kNone), low(n, 0), comp(n, kNone);
-  std::vector<std::size_t> members;  // Tarjan's stack
-  std::vector<std::pair<std::size_t, std::size_t>> calls;  // (node, edge)
-  std::size_t next_index = 0, next_comp = 0;
-  const auto visit = [&](std::size_t v) {
-    index[v] = low[v] = next_index++;
-    members.push_back(v);
-    calls.emplace_back(v, g.first[v]);
+/// iff a and b lie on a common cycle. `num` and `low` hold n entries,
+/// `members` (Tarjan's stack) n and `calls` ((node, edge) frames) 2n.
+void components(const Graph& g, Node* num, Node* low, Node* comp,
+                Node* members, Node* calls) {
+  std::fill_n(num, g.n, kNoNode);
+  std::fill_n(comp, g.n, kNoNode);
+  std::size_t depth = 0, stacked = 0;  // frames in calls, nodes in members
+  Node next_num = 0, next_comp = 0;
+  const auto visit = [&](Node v) {
+    num[v] = low[v] = next_num++;
+    members[stacked++] = v;
+    calls[2 * depth] = v;
+    calls[2 * depth + 1] = g.first[v];
+    ++depth;
   };
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kNone) continue;
+  for (Node root = 0; root < g.n; ++root) {
+    if (num[root] != kNoNode) continue;
     visit(root);
-    while (!calls.empty()) {
-      const std::size_t v = calls.back().first;
-      const std::size_t e = calls.back().second;
+    while (depth > 0) {
+      const Node v = calls[2 * depth - 2];
+      const Node e = calls[2 * depth - 1];
       if (e < g.first[v + 1]) {
-        ++calls.back().second;
-        const std::size_t w = g.succ[e];
-        if (index[w] == kNone) {
+        ++calls[2 * depth - 1];
+        const Node w = g.succ[e];
+        if (num[w] == kNoNode) {
           visit(w);
-        } else if (comp[w] == kNone) {  // w is still on Tarjan's stack
-          low[v] = std::min(low[v], index[w]);
+        } else if (comp[w] == kNoNode) {  // w is still on Tarjan's stack
+          low[v] = std::min(low[v], num[w]);
         }
         continue;
       }
-      calls.pop_back();
-      if (!calls.empty()) {
-        const std::size_t u = calls.back().first;
+      if (--depth > 0) {
+        const Node u = calls[2 * depth - 2];
         low[u] = std::min(low[u], low[v]);
       }
-      if (low[v] == index[v]) {
-        std::size_t w;
+      if (low[v] == num[v]) {
+        Node w;
         do {
-          w = members.back();
-          members.pop_back();
+          w = members[--stacked];
           comp[w] = next_comp;
         } while (w != v);
         ++next_comp;
       }
     }
   }
-  return comp;
 }
 
-/// Finds a path b ⇝ a (BFS over the edge graph) for the cycle witness.
-std::vector<std::size_t> find_path(const Graph& g, std::size_t from,
-                                   std::size_t to) {
-  std::vector<std::size_t> parent(g.size(), SIZE_MAX);
-  std::deque<std::size_t> work{from};
-  std::vector<bool> seen(g.size(), false);
-  seen[from] = true;
-  while (!work.empty()) {
-    const std::size_t id = work.front();
-    work.pop_front();
+/// Finds a path from ⇝ to (BFS over the edge graph) for the cycle witness.
+/// `parent` and `queue` hold n entries.
+std::vector<Node> find_path(const Graph& g, Node from, Node to, Node* parent,
+                            Node* queue) {
+  std::fill_n(parent, g.n, kNoNode);
+  parent[from] = from;
+  std::size_t head = 0, tail = 0;
+  queue[tail++] = from;
+  while (head < tail) {
+    const Node id = queue[head++];
     if (id == to) break;
-    for (const std::size_t succ : g.out(id)) {
-      if (!seen[succ]) {
-        seen[succ] = true;
+    for (const Node succ : g.out(id)) {
+      if (parent[succ] == kNoNode) {
         parent[succ] = id;
-        work.push_back(succ);
+        queue[tail++] = succ;
       }
     }
   }
-  std::vector<std::size_t> path;
-  for (std::size_t id = to; id != SIZE_MAX; id = parent[id]) {
+  std::vector<Node> path;
+  for (Node id = to;; id = parent[id]) {
     path.push_back(id);
-    if (id == from) break;
+    if (id == from || parent[id] == kNoNode) break;
   }
   std::reverse(path.begin(), path.end());
   return path;
@@ -413,15 +458,38 @@ std::vector<std::size_t> find_path(const Graph& g, std::size_t from,
 /// Describes the happens-before cycle closed by the first edge a→b, in
 /// (a, edge) order, whose endpoints share a strongly connected component:
 /// b ⇝ a, so a→b closes a cycle and no SC total order explains the run.
-std::string cycle_witness(const Recording& rec, const Ids& ids,
-                          const Graph& g) {
-  const std::vector<std::size_t> comp = components(g);
-  for (std::size_t a = 0; a < g.size(); ++a) {
-    for (const std::size_t b : g.out(a)) {
+/// The graph spans the actions left unordered from `live` on; its CSR
+/// array, Tarjan and BFS share one scratch allocation sized to them.
+std::string cycle_witness(const Recording& rec,
+                          const std::vector<LocationIndex>& index,
+                          const std::vector<std::size_t>& live) {
+  const Dense ids(rec, live);
+  const std::size_t n = ids.size();
+  const auto scratch = std::make_unique_for_overwrite<Node[]>(10 * n + 1);
+  Node* const first = scratch.get();    // n + 1
+  Node* const succ = first + n + 1;     // up to 3n edges
+  Node* const num = succ + 3 * n;       // n; the BFS parent after Tarjan
+  Node* const low = num + n;            // n; the BFS queue after Tarjan
+  Node* const comp = low + n;           // n
+  Node* const members = comp + n;       // n
+  Node* const calls = members + n;      // 2n
+
+  // Two passes: count out-degrees, then fill.
+  std::fill_n(first, n + 1, 0);
+  for_each_edge(rec, ids, index, [&](Node a, Node) { ++first[a + 1]; });
+  for (std::size_t a = 0; a < n; ++a) first[a + 1] += first[a];
+  BPRC_REQUIRE(first[n] <= 3 * n, "more edges than the witness bound");
+  std::copy_n(first, n, num);  // fill cursors
+  for_each_edge(rec, ids, index, [&](Node a, Node b) { succ[num[a]++] = b; });
+  const Graph g{n, first, succ};
+
+  components(g, num, low, comp, members, calls);
+  for (Node a = 0; a < n; ++a) {
+    for (const Node b : g.out(a)) {
       if (a == b || comp[a] != comp[b]) continue;
       std::ostringstream witness;
       witness << "non-SC execution: happens-before cycle\n";
-      for (const std::size_t id : find_path(g, b, a)) {
+      for (const Node id : find_path(g, b, a, num, low)) {
         witness << "  " << describe_action(rec, ids.action(rec, id)) << "\n";
       }
       witness << "  " << describe_action(rec, ids.action(rec, b))
@@ -468,19 +536,6 @@ SCResult check_sc(const Recording& rec) {
     return result;
   }
 
-  // Log integrity: entry (t, i) must claim thread t and seq i — loaded
-  // artifacts are untrusted input.
-  for (std::size_t t = 0; t < rec.logs.size(); ++t) {
-    for (std::size_t i = 0; i < rec.logs[t].size(); ++i) {
-      const MemAction& a = rec.logs[t][i];
-      if (static_cast<std::size_t>(a.thread) != t ||
-          static_cast<std::size_t>(a.seq) != i) {
-        result.witness = fail(rec, a, "log entry thread/seq inconsistent");
-        return result;
-      }
-    }
-  }
-
   std::vector<LocationIndex> index;
   if (!build_location_index(rec, index, result.witness)) {
     return result;
@@ -493,8 +548,7 @@ SCResult check_sc(const Recording& rec) {
     // A stall leaves actions unordered exactly when po ∪ rf ∪ mo ∪ fr has
     // a cycle; only then is the edge graph built, to name it.
     result.order = {};
-    result.witness =
-        cycle_witness(rec, ids, build_edges(rec, ids, index, head));
+    result.witness = cycle_witness(rec, index, head);
     return result;
   }
   result.sc = true;

@@ -19,23 +19,29 @@
 // previous version and every load of it are. A blocked head waits on a
 // wake list keyed by the condition it lacks, so no head is re-examined
 // per emitted action. For n actions of T threads on L locations the
-// sweep costs O(n + L + T), plus, per emitted action, two
+// sweep costs O(n + L + T), plus, per switch to another thread, two
 // count-trailing-zero steps per 4096 threads to find the lowest-numbered
 // ready thread: O(1) up to the artifact loader's cap,
-// kMaxArtifactThreads = 4096. Ids are thread-major, so the order is the
-// one a smallest-id-first Kahn sort of the relation gives, and the sweep
-// orders every action iff there is no cycle.
+// kMaxArtifactThreads = 4096. A thread keeps emitting without that
+// search while its next action is ready and the emission woke no
+// lower-numbered thread. Ids are thread-major, so the order is the one a
+// smallest-id-first Kahn sort of the relation gives, and the sweep
+// orders every action iff there is no cycle. Validation before it, of
+// the logs and the version fields, is three linear passes.
 //
 // When the sweep is total its order is the SC total order, which is
 // re-validated through the existing Wing–Gong linearizability checker:
 // each location's actions become a sequential RegOp history
 // (read-your-latest-write semantics), so native runs are graded by
-// exactly the oracle the simulator uses. When the sweep stalls, and only
-// then, the relation among the actions it left unordered is built as one
-// flat CSR edge array; a strongly-connected-component pass picks the
+// exactly the oracle the simulator uses; a sequential history is
+// replayed in O(length), not searched. When the sweep stalls, and only
+// then, the m actions it left unordered are numbered densely and the
+// relation among them is built as one flat CSR edge array of 32-bit ids
+// (at most 3m edges; one scratch allocation of about 10m ids holds it
+// and the passes over it); a strongly-connected-component pass picks the
 // first edge a→b (by source id, then edge order) whose endpoints share a
 // component, and the checker reports the cycle path b ⇝ a → b as a
-// human-readable witness.
+// human-readable witness. That costs O(m).
 //
 // Scope: this is a *dynamic* analysis of one observed execution, like
 // TSAN — it proves this run SC or exhibits this run's violation; it does

@@ -29,6 +29,17 @@
 #       ones caught), and every artifact it writes, at least one,
 #       reproduces under `bprc_torture --replay`
 #
+# Weakened registers must not change a faithful result, and the seeded
+# semantics-sensitive bug must be caught under them:
+#
+#   artifact_roundtrips.sh weakreg BIN_DIR WORK_DIR
+#       the smoke campaign under regular and under safe semantics is
+#       clean and its digest the same at --jobs 2 as at --jobs 1;
+#       broken-needs-atomic under regular is caught by a random campaign
+#       (exit 1; every artifact records `semantics regular` and its
+#       `stale-reads` choices) and by the explorer (exit 1), and every
+#       artifact either wrote, at least one, replays
+#
 # The crash-containment paths must turn a process-killing protocol into
 # recorded worker-crash artifacts instead of dying with it:
 #
@@ -89,6 +100,17 @@ all_artifacts_match() {  # pattern dir: every .bprc-repro, at least one
     count=$((count + 1))
   done
   [ "$count" -gt 0 ] || { echo "no artifacts in $2" >&2; return 1; }
+}
+
+all_artifacts_replay() {  # dir: every .bprc-repro, at least one
+  local f count=0
+  for f in "$1"/*.bprc-repro; do
+    [ -e "$f" ] || break
+    "$bin/bprc_torture" --replay "$f" > /dev/null ||
+      { echo "$f does not replay" >&2; return 1; }
+    count=$((count + 1))
+  done
+  [ "$count" -gt 0 ] || { echo "no artifacts in $1" >&2; return 1; }
 }
 
 case "$mode" in
@@ -203,14 +225,26 @@ EOF
   explore-replay)
     "$bin/bprc_explore" --smoke --stats --out "$work/repros" \
       > "$work/smoke.out"
-    count=0
-    for f in "$work"/repros/*.bprc-repro; do
-      [ -e "$f" ] || break
-      "$bin/bprc_torture" --replay "$f" > /dev/null ||
-        { echo "$f does not replay" >&2; exit 1; }
-      count=$((count + 1))
+    all_artifacts_replay "$work/repros"
+    ;;
+
+  weakreg)
+    for sem in regular safe; do
+      for j in 1 2; do
+        "$bin/bprc_torture" --smoke --quiet --jobs "$j" \
+          --register-semantics "$sem" > "$work/$sem-j$j.out"
+      done
+      same_digest '^digest=' "$work/$sem-j1.out" "$work/$sem-j2.out"
     done
-    [ "$count" -gt 0 ] || { echo "no artifacts in $work/repros" >&2; exit 1; }
+    exits_with_findings "$work/bug.log" "$bin/bprc_torture" \
+      --protocol broken-needs-atomic --adversary random --n 3 --seeds 32 \
+      --register-semantics regular --max-failures 4 --out "$work/repros"
+    all_artifacts_match 'semantics regular' "$work/repros"
+    all_artifacts_match 'stale-reads .*' "$work/repros"
+    exits_with_findings "$work/explore.log" "$bin/bprc_explore" \
+      --protocol broken-needs-atomic --n 2 --depth 10 \
+      --register-semantics regular --stats --out "$work/repros"
+    all_artifacts_replay "$work/repros"
     ;;
 
   frontier-bench)

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -231,6 +232,81 @@ TEST(LinCheck, AgreesWithPermutationOracle) {
   // Both verdicts must be well represented for the comparison to bite.
   EXPECT_GT(accepted, kCases / 5);
   EXPECT_LT(accepted, kCases * 4 / 5);
+}
+
+/// The witness the checker must give a rejected history: its ops dumped
+/// in list order.
+std::string reference_witness(const std::vector<RegOp>& h) {
+  std::string out = "no linearization exists; history:";
+  for (const RegOp& op : h) {
+    out += "\n  p" + std::to_string(op.proc) +
+           (op.is_write ? " write(" + std::to_string(op.value) + ")"
+                        : " read->" + std::to_string(op.value)) +
+           " [" + std::to_string(op.inv) + "," + std::to_string(op.res) + "]";
+  }
+  return out;
+}
+
+/// Each op responds strictly before the next one in the list is invoked.
+bool is_sequential(const std::vector<RegOp>& h) {
+  for (std::size_t i = 1; i < h.size(); ++i) {
+    if (h[i - 1].res >= h[i].inv) return false;
+  }
+  return true;
+}
+
+TEST(LinCheck, SequentialAndOverlappingHistoriesMatchBruteForce) {
+  // Seeded histories of up to 7 ops in invocation order, in three shapes:
+  // sequential (a gap between ops), touching (sequential but for one op
+  // whose response equals the next op's invocation, which makes the pair
+  // concurrent) and overlapping. Reads mostly return the latest write in
+  // list order, so each shape yields both verdicts. `ok` and the witness
+  // must equal the brute-force oracle's.
+  Rng rng(0x5E9);
+  int counts[2][2] = {};  // [sequential][linearizable]
+  for (int c = 0; c < 4000; ++c) {
+    const int shape = c % 3;  // 0 sequential, 1 touching, 2 overlapping
+    const std::size_t ops = 1 + rng.below(7);
+    const std::size_t touch = rng.below(ops);  // the touching boundary
+    const std::uint64_t initial = rng.below(2);
+    std::uint64_t latest = initial;
+    std::uint64_t inv = 1 + rng.below(2);
+    std::vector<RegOp> h;
+    for (std::size_t i = 0; i < ops; ++i) {
+      const std::uint64_t res = inv + 1 + rng.below(shape == 2 ? 5 : 2);
+      const auto p = static_cast<ProcId>(rng.below(3));
+      if (rng.flip()) {
+        latest = 1 + rng.below(2);
+        h.push_back(W(latest, inv, res, p));
+      } else {
+        h.push_back(R(rng.below(4) == 0 ? rng.below(3) : latest, inv, res, p));
+      }
+      inv = shape == 2              ? inv + rng.below(3)
+            : shape == 1 && i == touch ? res
+                                       : res + 1 + rng.below(2);
+    }
+    const bool expect = linearizable_by_permutation(h, initial);
+    ++counts[is_sequential(h) ? 1 : 0][expect ? 1 : 0];
+    const LinResult got = check_register_linearizable(h, initial);
+    ASSERT_EQ(got.ok, expect) << "case " << c;
+    EXPECT_EQ(got.witness, expect ? "" : reference_witness(h)) << "case " << c;
+  }
+  // Every (sequential?, linearizable?) class must be well represented.
+  for (const auto& row : counts) {
+    for (const int n : row) EXPECT_GE(n, 300);
+  }
+}
+
+TEST(LinCheck, ResponseAtNextInvocationIsConcurrent) {
+  // The write responds at the instant the read is invoked, so the two
+  // overlap and the read may linearize first and see the initial value.
+  // Replaying the history as sequential would reject it.
+  const std::vector<RegOp> h{W(1, 1, 3), R(0, 3, 4)};
+  EXPECT_FALSE(is_sequential(h));
+  EXPECT_TRUE(linearizable_by_permutation(h, 0));
+  EXPECT_TRUE(check_register_linearizable(h, 0).ok);
+  // One tick later the read follows the write, which it then must see.
+  EXPECT_FALSE(check_register_linearizable({W(1, 1, 3), R(0, 4, 5)}, 0).ok);
 }
 
 TEST(LinCheckDeath, RejectsEmptyIntervals) {
