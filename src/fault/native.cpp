@@ -37,7 +37,6 @@ struct Harness {
     out.run = rt_.run(opts_.max_steps, opts_.deadline);
     drain();
     if (recorder_ != nullptr) {
-      out.actions = recorder_->recording().total_actions();
       out.sc = weakmem::check_sc(recorder_->recording());
       out.checked = true;
       if (!out.sc.ok() && !opts_.artifact_path.empty()) {
@@ -46,6 +45,7 @@ struct Harness {
           out.artifact = opts_.artifact_path;
         }
       }
+      out.recording = std::move(recorder_->recording());
     }
     return out;
   }

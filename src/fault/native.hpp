@@ -55,10 +55,12 @@ struct NativeRunOptions {
 struct NativeOutcome {
   RunResult run;
   weakmem::SCResult sc;        ///< meaningful iff `checked`
+  /// Every recorded native atomic operation, which `sc` graded; empty
+  /// unless `checked`.
+  weakmem::Recording recording;
   bool checked = false;
   ConsensusRunResult consensus;///< meaningful iff `graded_consensus`
   bool graded_consensus = false;
-  std::size_t actions = 0;     ///< recorded native atomic operations
   std::string artifact;        ///< artifact path actually written, if any
 
   /// The case behaved: run completed, SC check passed (when on), and the

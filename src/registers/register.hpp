@@ -30,7 +30,7 @@ namespace bprc {
 
 namespace detail {
 
-/// Adversary-controlled weakening overlay for the register templates
+/// Adversary-controlled weakening overlay for the Register template
 /// below (docs/REGISTER_SEMANTICS.md). Allocated only when the owning
 /// runtime reports kRegular/kSafe at register construction — under
 /// atomic semantics a register carries one extra null pointer and one
@@ -111,14 +111,6 @@ class WeakRegisterState {
   T hist_[kHist];
 };
 
-/// Overlay factory shared by the register templates: null under atomic.
-template <class T>
-std::unique_ptr<WeakRegisterState<T>> make_weak_state(Runtime& rt,
-                                                      const T& initial) {
-  if (rt.register_semantics() == RegisterSemantics::kAtomic) return nullptr;
-  return std::make_unique<WeakRegisterState<T>>(initial);
-}
-
 }  // namespace detail
 
 /// Locks a register mutex only when the owning runtime is concurrent
@@ -142,24 +134,23 @@ class MaybeLock {
   const bool locked_;
 };
 
-/// Single-writer multi-reader atomic register. `owner` is the only process
-/// allowed to write; every process may read.
-template <class T>
-class SWMRRegister {
+/// Atomic read/write register. A single-writer one (`SWMRRegister`)
+/// names the only process allowed to write; a multi-writer one
+/// (`MRMWRegister`, used for native 2W2R arrows and test scaffolding —
+/// the paper's protocols never need more than two writers per register)
+/// lets every process write. Every process may read either.
+template <class T, bool kSingleWriter>
+class Register {
  public:
-  SWMRRegister(Runtime& rt, ProcId owner, T initial, int object_id = -1)
-      : rt_(rt),
-        owner_(owner),
-        id_(object_id),
-        sink_(rt.trace_sink()),
-        trace_id_(sink_ != nullptr ? sink_->on_object_created() : -1),
-        locked_(rt.concurrent()),
-        sem_(rt.register_semantics()),
-        value_(std::move(initial)),
-        weak_(detail::make_weak_state(rt, value_)) {}
+  Register(Runtime& rt, ProcId owner, T initial, int object_id = -1)
+    requires kSingleWriter
+      : Register(rt, Who{owner, object_id}, std::move(initial)) {}
+  Register(Runtime& rt, T initial, int object_id = -1)
+    requires(!kSingleWriter)
+      : Register(rt, Who{-1, object_id}, std::move(initial)) {}
 
-  SWMRRegister(const SWMRRegister&) = delete;
-  SWMRRegister& operator=(const SWMRRegister&) = delete;
+  Register(const Register&) = delete;
+  Register& operator=(const Register&) = delete;
 
   /// Atomic read by any process. Under weakened semantics (cached at
   /// construction, like the trace sink) a read overlapping an in-flight
@@ -167,13 +158,7 @@ class SWMRRegister {
   T read() {
     rt_.checkpoint({OpDesc::Kind::kRead, id_, 0});
     const MaybeLock lock(mu_, locked_);
-    if (sink_ != nullptr) sink_->on_read(rt_.self(), trace_id_);
-    if (weak_ != nullptr) {
-      if (const T* alt = weak_->resolve(rt_, sem_, stale_object())) {
-        return *alt;
-      }
-    }
-    return value_;
+    return serve();
   }
 
   /// Atomic read that copy-assigns into `out` instead of returning a
@@ -182,20 +167,16 @@ class SWMRRegister {
   void read_into(T& out) {
     rt_.checkpoint({OpDesc::Kind::kRead, id_, 0});
     const MaybeLock lock(mu_, locked_);
-    if (sink_ != nullptr) sink_->on_read(rt_.self(), trace_id_);
-    if (weak_ != nullptr) {
-      if (const T* alt = weak_->resolve(rt_, sem_, stale_object())) {
-        out = *alt;
-        return;
-      }
-    }
-    out = value_;
+    out = serve();
   }
 
-  /// Atomic write; caller must be the owner. `payload` is a digest of the
-  /// written value shown to the adversary (see OpDesc).
+  /// Atomic write; a single-writer register's caller must be the owner.
+  /// `payload` is a digest of the written value shown to the adversary
+  /// (see OpDesc).
   void write(const T& v, std::int64_t payload = 0) {
-    BPRC_REQUIRE(rt_.self() == owner_, "non-owner write to SWMR register");
+    if constexpr (kSingleWriter) {
+      BPRC_REQUIRE(rt_.self() == owner_, "non-owner write to SWMR register");
+    }
     if (weak_ != nullptr) weak_->announce(rt_.self(), v);
     rt_.checkpoint({OpDesc::Kind::kWrite, id_, payload});
     const MaybeLock lock(mu_, locked_);
@@ -212,48 +193,27 @@ class SWMRRegister {
     return value_;
   }
 
-  ProcId owner() const { return owner_; }
-
  private:
-  /// Object id reported in StaleRead: the dense trace id when a sink is
-  /// installed (unique per object), else the component-assigned id.
-  int stale_object() const { return trace_id_ >= 0 ? trace_id_ : id_; }
-
-  Runtime& rt_;
-  ProcId owner_;
-  int id_;
-  TraceSink* const sink_;  ///< cached Runtime::trace_sink(); usually null
-  const int trace_id_;     ///< sink-assigned dense id; -1 without a sink
-  const bool locked_;
-  const RegisterSemantics sem_;  ///< cached Runtime::register_semantics()
-  mutable std::mutex mu_;
-  T value_;
-  /// Weakening overlay; null under atomic semantics (the usual case).
-  const std::unique_ptr<detail::WeakRegisterState<T>> weak_;
-};
-
-/// Multi-writer multi-reader atomic register. Used for native 2W2R arrows
-/// and for test scaffolding; the paper's protocols never need more than
-/// two writers per register.
-template <class T>
-class MRMWRegister {
- public:
-  MRMWRegister(Runtime& rt, T initial, int object_id = -1)
+  struct Who {
+    ProcId owner;
+    int object_id;
+  };
+  Register(Runtime& rt, Who who, T&& initial)
       : rt_(rt),
-        id_(object_id),
+        owner_(who.owner),
+        id_(who.object_id),
         sink_(rt.trace_sink()),
         trace_id_(sink_ != nullptr ? sink_->on_object_created() : -1),
         locked_(rt.concurrent()),
         sem_(rt.register_semantics()),
         value_(std::move(initial)),
-        weak_(detail::make_weak_state(rt, value_)) {}
+        weak_(sem_ == RegisterSemantics::kAtomic
+                  ? nullptr
+                  : std::make_unique<detail::WeakRegisterState<T>>(value_)) {}
 
-  MRMWRegister(const MRMWRegister&) = delete;
-  MRMWRegister& operator=(const MRMWRegister&) = delete;
-
-  T read() {
-    rt_.checkpoint({OpDesc::Kind::kRead, id_, 0});
-    const MaybeLock lock(mu_, locked_);
+  /// The value a read returns, with `mu_` held: the committed one, or the
+  /// weakened alternative the adversary chose.
+  const T& serve() {
     if (sink_ != nullptr) sink_->on_read(rt_.self(), trace_id_);
     if (weak_ != nullptr) {
       if (const T* alt = weak_->resolve(rt_, sem_, stale_object())) {
@@ -263,25 +223,12 @@ class MRMWRegister {
     return value_;
   }
 
-  void write(const T& v, std::int64_t payload = 0) {
-    if (weak_ != nullptr) weak_->announce(rt_.self(), v);
-    rt_.checkpoint({OpDesc::Kind::kWrite, id_, payload});
-    const MaybeLock lock(mu_, locked_);
-    if (sink_ != nullptr) sink_->on_write(rt_.self(), trace_id_);
-    if (weak_ != nullptr) weak_->commit(value_);
-    value_ = v;
-  }
-
-  /// See SWMRRegister::peek — committed value only.
-  T peek() const {
-    const MaybeLock lock(mu_, locked_);
-    return value_;
-  }
-
- private:
+  /// Object id reported in StaleRead: the dense trace id when a sink is
+  /// installed (unique per object), else the component-assigned id.
   int stale_object() const { return trace_id_ >= 0 ? trace_id_ : id_; }
 
   Runtime& rt_;
+  ProcId owner_;  ///< the only writer when kSingleWriter; else -1
   int id_;
   TraceSink* const sink_;  ///< cached Runtime::trace_sink(); usually null
   const int trace_id_;     ///< sink-assigned dense id; -1 without a sink
@@ -292,5 +239,10 @@ class MRMWRegister {
   /// Weakening overlay; null under atomic semantics (the usual case).
   const std::unique_ptr<detail::WeakRegisterState<T>> weak_;
 };
+
+template <class T>
+using SWMRRegister = Register<T, true>;
+template <class T>
+using MRMWRegister = Register<T, false>;
 
 }  // namespace bprc

@@ -105,7 +105,7 @@ struct Hint {
 
 /// Observer for shared-memory traffic, consumed by the exploration driver
 /// (src/explore/) to fingerprint global states for its seen-state cache.
-///// Registers query Runtime::trace_sink() at *construction* and call the
+/// Registers query Runtime::trace_sink() at *construction* and call the
 /// hooks after each completed primitive operation; a runtime that returns
 /// nullptr (the default, and every runtime outside exploration) pays a
 /// single cached null check per register. Install a sink before

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "verify/linearizability.hpp"
 
 namespace bprc::weakmem {
 
@@ -47,7 +46,6 @@ struct LocationIndex {
   /// loads[v] = the number of plain loads that observed version v, 0..W:
   /// the fr predecessors of the write of version v + 1.
   std::vector<std::size_t> loads;
-  std::size_t actions = 0;  ///< loads, stores and RMWs on the location
 };
 
 std::string fail(const Recording& rec, const MemAction& a,
@@ -118,7 +116,6 @@ bool build_location_index(const Recording& rec,
         }
       }
       if (a.kind == MemAction::Kind::kLoad) ++index[l].loads[a.rf];
-      ++index[l].actions;
       if (a.kind == MemAction::Kind::kRmw && a.rf + 1 != a.mo) {
         witness = fail(rec, a, "RMW not atomic: rf version + 1 != mo version");
         return false;
@@ -126,8 +123,8 @@ bool build_location_index(const Recording& rec,
     }
   }
   // Loads must return the value their rf write put there (or the initial
-  // payload for rf = 0) — a recorder-integrity check, independent of the
-  // order analysis below.
+  // payload for rf = 0). With this, the sweep's order is a legal register
+  // history on every location, so no history needs re-grading after it.
   for (const auto& log : rec.logs) {
     for (const MemAction& a : log) {
       if (a.kind != MemAction::Kind::kLoad) continue;
@@ -196,14 +193,12 @@ class ReadySet {
 /// for the lowest ready thread. That search runs only on a switch: a
 /// thread keeps emitting while its next head is ready and the emission
 /// woke no lower-numbered thread, since readiness only grows and it is
-/// then still the lowest ready one. Appends each location's RegOp history
-/// in the same pass. Returns false iff the sweep stalls, i.e. iff the
-/// graph has a cycle; `head[t]` is then the first of thread t's actions
-/// left unordered.
+/// then still the lowest ready one. Returns false iff the sweep stalls,
+/// i.e. iff the graph has a cycle; `head[t]` is then the first of thread
+/// t's actions left unordered.
 bool sweep(const Recording& rec, const Ids& ids,
            std::vector<LocationIndex>& index, std::vector<std::size_t>& head,
-           std::vector<std::size_t>& order,
-           std::vector<std::vector<RegOp>>& histories) {
+           std::vector<std::size_t>& order) {
   struct Location {
     std::uint64_t emitted = 0;         ///< versions emitted so far
     std::size_t drainer = kNone;       ///< head write waiting on loads
@@ -213,10 +208,8 @@ bool sweep(const Recording& rec, const Ids& ids,
   head.assign(threads, 0);
   std::vector<std::size_t> next_waiter(threads, kNone);
   std::vector<Location> locs(index.size());
-  histories.resize(index.size());
   for (std::size_t l = 0; l < index.size(); ++l) {
     locs[l].waiting.assign(index[l].loads.size(), kNone);
-    histories[l].reserve(index[l].actions);
   }
   ReadySet ready(threads);
 
@@ -257,10 +250,7 @@ bool sweep(const Recording& rec, const Ids& ids,
     const MemAction& a = rec.logs[t][head[t]];
     const auto l = static_cast<std::size_t>(a.location);
     Location& loc = locs[l];
-    const std::size_t pos = order.size();
     order.push_back(ids.base[t] + head[t]);
-    histories[l].push_back({a.kind != MemAction::Kind::kLoad, a.value, 2 * pos,
-                            2 * pos + 1, a.thread});
     ++head[t];
     woken = kNone;
     if (a.kind == MemAction::Kind::kLoad) {
@@ -532,7 +522,7 @@ SCResult check_sc(const Recording& rec) {
   SCResult result;
   const Ids ids(rec);
   if (ids.size() == 0) {
-    result.well_formed = result.sc = result.coherent = true;
+    result.well_formed = result.sc = true;
     return result;
   }
 
@@ -543,8 +533,7 @@ SCResult check_sc(const Recording& rec) {
   result.well_formed = true;
 
   std::vector<std::size_t> head;
-  std::vector<std::vector<RegOp>> histories;
-  if (!sweep(rec, ids, index, head, result.order, histories)) {
+  if (!sweep(rec, ids, index, head, result.order)) {
     // A stall leaves actions unordered exactly when po ∪ rf ∪ mo ∪ fr has
     // a cycle; only then is the edge graph built, to name it.
     result.order = {};
@@ -552,19 +541,6 @@ SCResult check_sc(const Recording& rec) {
     return result;
   }
   result.sc = true;
-
-  // Grade the SC order with the Wing–Gong checker, one sequential RegOp
-  // history per location: every read must return the latest write.
-  for (std::size_t l = 0; l < histories.size(); ++l) {
-    const LinResult lin =
-        check_register_linearizable(histories[l], rec.locations[l].initial);
-    if (!lin.ok) {
-      result.witness = "SC order not coherent on location " +
-                       rec.locations[l].name + ": " + lin.witness;
-      return result;
-    }
-  }
-  result.coherent = true;
   return result;
 }
 

@@ -29,19 +29,23 @@
 // orders every action iff there is no cycle. Validation before it, of
 // the logs and the version fields, is three linear passes.
 //
-// When the sweep is total its order is the SC total order, which is
-// re-validated through the existing Wing–Gong linearizability checker:
-// each location's actions become a sequential RegOp history
-// (read-your-latest-write semantics), so native runs are graded by
-// exactly the oracle the simulator uses; a sequential history is
-// replayed in O(length), not searched. When the sweep stalls, and only
-// then, the m actions it left unordered are numbered densely and the
-// relation among them is built as one flat CSR edge array of 32-bit ids
-// (at most 3m edges; one scratch allocation of about 10m ids holds it
-// and the passes over it); a strongly-connected-component pass picks the
-// first edge a→b (by source id, then edge order) whose endpoints share a
-// component, and the checker reports the cycle path b ⇝ a → b as a
-// human-readable witness. That costs O(m).
+// When the sweep is total its order is the SC total order, and that is
+// the whole verdict: no second oracle re-grades it. Each location's
+// history in that order is already a legal register history (every read
+// returns the latest write): a load of version v is emitted while v is
+// its location's latest emitted version, since the write of v + 1 waits
+// for every load of v, and validation has checked that the load returned
+// the value of the write of v (or the initial value when v = 0); an RMW
+// writes version rf + 1, so it too reads the latest write.
+//
+// When the sweep stalls, and only then, the m actions it left unordered
+// are numbered densely and the relation among them is built as one flat
+// CSR edge array of 32-bit ids (at most 3m edges; one scratch allocation
+// of about 10m ids holds it and the passes over it); a
+// strongly-connected-component pass picks the first edge a→b (by source
+// id, then edge order) whose endpoints share a component, and the
+// checker reports the cycle path b ⇝ a → b as a human-readable witness.
+// That costs O(m).
 //
 // Scope: this is a *dynamic* analysis of one observed execution, like
 // TSAN — it proves this run SC or exhibits this run's violation; it does
@@ -61,8 +65,6 @@ namespace bprc::weakmem {
 /// Verdict of the offline analysis.
 struct SCResult {
   bool sc = false;          ///< po ∪ rf ∪ mo ∪ fr acyclic
-  bool coherent = false;    ///< per-location Wing–Gong check of the total
-                            ///< order (vacuously true when !sc)
   bool well_formed = false; ///< version fields internally consistent
   std::string witness;      ///< cycle / violation description when failed
 
@@ -70,7 +72,7 @@ struct SCResult {
   /// thread-major) when sc holds; empty otherwise.
   std::vector<std::size_t> order;
 
-  bool ok() const { return well_formed && sc && coherent; }
+  bool ok() const { return well_formed && sc; }
 };
 
 /// Runs the full analysis on a recording.

@@ -50,8 +50,15 @@
 #       an `--isolate` exploration of broken-segv completes (exit 1),
 #       counts its worker crashes and writes worker-crash artifacts
 #
-# The space axis must not depend on parallelism either:
+# The space axis must not depend on parallelism either, and a short
+# space budget must be caught:
 #
+#   artifact_roundtrips.sh space BIN_DIR WORK_DIR
+#       the smoke campaign at --space K=3 skips some cells and its digest
+#       is the same at --jobs 2 as at --jobs 1; bprc-underprov-cycle and
+#       bprc-underprov-slots are caught as bounded-memory failures by
+#       random campaigns (exit 1) and by the explorer (exit 1), and every
+#       artifact either wrote, at least one, replays
 #   artifact_roundtrips.sh frontier-bench BENCH_DIR WORK_DIR
 #       bench_frontier (E11) aborts unless every budget's campaign digest
 #       is the same at jobs=1, jobs=max and 2 forked workers
@@ -244,6 +251,26 @@ EOF
     exits_with_findings "$work/explore.log" "$bin/bprc_explore" \
       --protocol broken-needs-atomic --n 2 --depth 10 \
       --register-semantics regular --stats --out "$work/repros"
+    all_artifacts_replay "$work/repros"
+    ;;
+
+  space)
+    for j in 1 2; do
+      "$bin/bprc_torture" --smoke --quiet --jobs "$j" --space K=3 \
+        > "$work/j$j.out"
+    done
+    grep -q 'space cell(s) skipped' "$work/j1.out" ||
+      { echo "no space cell(s) skipped line" >&2; exit 1; }
+    same_digest '^digest=' "$work/j1.out" "$work/j2.out"
+    for p in bprc-underprov-cycle bprc-underprov-slots; do
+      exits_with_findings "$work/$p.log" "$bin/bprc_torture" --protocol "$p" \
+        --adversary random --n 2 --n 3 --seeds 4 --max-failures 8 \
+        --out "$work/repros"
+    done
+    exits_with_findings "$work/explore.log" "$bin/bprc_explore" \
+      --protocol bprc-underprov-cycle --protocol bprc-underprov-slots \
+      --n 2 --depth 8 --stats --out "$work/repros"
+    all_artifacts_match 'failure bounded-memory' "$work/repros"
     all_artifacts_replay "$work/repros"
     ;;
 

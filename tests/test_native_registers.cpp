@@ -9,6 +9,7 @@
 #include "fault/native.hpp"
 #include "verify/weakmem/recorder.hpp"
 #include "verify/weakmem/sc_checker.hpp"
+#include "sc_order_oracle.hpp"
 
 namespace bprc {
 namespace {
@@ -41,7 +42,9 @@ TEST(NativeRegisters, FaithfulCasesPassTheChecker) {
     EXPECT_EQ(out.run.reason, RunResult::Reason::kAllDone) << spec.name;
     ASSERT_TRUE(out.checked) << spec.name;
     EXPECT_TRUE(out.sc.ok()) << spec.name << ": " << out.sc.witness;
-    EXPECT_GT(out.actions, 0u) << spec.name;
+    EXPECT_TRUE(weakmem::sc_order_linearizable(out.recording, out.sc.order))
+        << spec.name;
+    EXPECT_GT(out.recording.total_actions(), 0u) << spec.name;
     EXPECT_TRUE(out.ok()) << spec.name;
   }
 }
@@ -92,7 +95,7 @@ TEST(NativeRegisters, CheckerOffIsTheZeroCostPath) {
   const NativeOutcome out = run_native_case("counter-walk", opts);
   EXPECT_EQ(out.run.reason, RunResult::Reason::kAllDone);
   EXPECT_FALSE(out.checked);
-  EXPECT_EQ(out.actions, 0u);
+  EXPECT_EQ(out.recording.total_actions(), 0u);
   EXPECT_TRUE(out.ok());
 }
 
@@ -105,7 +108,8 @@ TEST(NativeRegisters, RecordedRunsAreWellFormedAtLargerScale) {
   const NativeOutcome out = run_native_case("scan-storm", opts);
   ASSERT_TRUE(out.checked);
   EXPECT_TRUE(out.sc.ok()) << out.sc.witness;
-  EXPECT_GT(out.actions, 1000u);
+  EXPECT_TRUE(weakmem::sc_order_linearizable(out.recording, out.sc.order));
+  EXPECT_GT(out.recording.total_actions(), 1000u);
 }
 
 }  // namespace

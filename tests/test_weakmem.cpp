@@ -21,6 +21,7 @@
 #include "util/rng.hpp"
 #include "verify/weakmem/recorder.hpp"
 #include "verify/weakmem/sc_checker.hpp"
+#include "sc_order_oracle.hpp"
 
 namespace bprc::weakmem {
 namespace {
@@ -315,9 +316,9 @@ TEST(WeakMemGolden, AcyclicMultiLocationOrder) {
 
 TEST(WeakMem, LongSingleLocationRecording) {
   // 64k actions on one location, from a seeded SC interleaving of stores,
-  // loads and RMWs by four threads. The per-location Wing–Gong history
-  // is as long as the recording, so neither the cycle check nor the
-  // coherence re-check may recurse once per action.
+  // loads and RMWs by four threads. The location's history is as long
+  // as the recording, so neither the cycle check nor the Wing–Gong
+  // second opinion on the order may recurse once per action.
   constexpr int kThreads = 4;
   constexpr int kActions = 65'536;
   WeakMemRecorder rec(kThreads);
@@ -345,6 +346,7 @@ TEST(WeakMem, LongSingleLocationRecording) {
   const SCResult res = check_sc(rec.recording());
   ASSERT_TRUE(res.ok()) << res.witness;
   EXPECT_EQ(res.order.size(), static_cast<std::size_t>(kActions));
+  EXPECT_TRUE(sc_order_linearizable(rec.recording(), res.order));
 
   // One final read of the initial value closes a cycle through the whole
   // history.
@@ -560,8 +562,8 @@ void expect_matches_reference(const Recording& rec, std::size_t* sc,
   ASSERT_TRUE(res.well_formed) << res.witness;
   ASSERT_EQ(res.sc, acyclic) << res.witness;
   if (acyclic) {
-    EXPECT_TRUE(res.coherent) << res.witness;
     EXPECT_EQ(res.order, expect);
+    EXPECT_TRUE(sc_order_linearizable(rec, res.order));
     ++*sc;
   } else {
     EXPECT_TRUE(res.order.empty());

@@ -145,7 +145,7 @@ void usage(std::FILE* to) {
                "  --native-case NAME one native case (implies --native;\n"
                "                     broken cases must be named explicitly)\n"
                "  --check-sc         record every native atomic op and run\n"
-               "                     the offline SC/linearizability checker;\n"
+               "                     the offline SC checker;\n"
                "                     violations write a replayable\n"
                "                     .bprc-weakmem artifact into --out\n"
                "  --iters N          per-thread iterations for native cases\n"
@@ -626,7 +626,7 @@ int run_native_mode(const Options& opt) {
                 static_cast<unsigned long long>(out.run.steps),
                 to_string(out.run.reason));
     if (out.checked) {
-      std::printf(" actions=%-7zu sc=%s", out.actions,
+      std::printf(" actions=%-7zu sc=%s", out.recording.total_actions(),
                   out.sc.ok() ? "OK" : "VIOLATION");
     }
     if (out.graded_consensus) {
