@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -96,9 +98,16 @@ inline std::unique_ptr<Adversary> make_adversary(const std::string& name,
 }
 
 /// Worker threads for the Monte-Carlo cells: BPRC_JOBS if set (>= 1),
-/// else hardware concurrency. BPRC_JOBS=1 is the exact serial path.
+/// else hardware concurrency. BPRC_JOBS=1 is the exact serial path; a
+/// value above engine::kMaxJobs aborts, like a malformed one.
 inline unsigned bench_jobs() {
   const std::int64_t v = env_int("BPRC_JOBS", 0);
+  if (v > engine::kMaxJobs) {
+    std::fprintf(stderr, "BPRC_JOBS=%lld exceeds the ceiling of %u\n",
+                 static_cast<long long>(v), engine::kMaxJobs);
+    std::fflush(stderr);
+    std::abort();
+  }
   return v >= 1 ? static_cast<unsigned>(v) : engine::default_jobs();
 }
 

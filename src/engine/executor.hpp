@@ -1,11 +1,13 @@
 // TrialExecutor: the one trial loop every sweep in the repo runs on.
 //
 // A sweep is a deterministic *generator* of specs plus a single-threaded
-// *sink* of outcomes. The executor pulls specs from the generator in
-// order, shards them over a pool of worker threads — one SimReuse pinned
-// per worker, so the simulator's recycled fiber stacks and process
-// tables never cross a thread — and delivers outcomes to the sink
-// **strictly in generation order**, one call at a time. Consequences:
+// *sink* of outcomes. The calling thread of run_ordered() is the
+// coordinator: it pulls specs from the generator in order, pushes them
+// into a bounded window, and delivers outcomes to the sink **strictly in
+// generation order**. A pool of worker threads — one SimReuse pinned per
+// worker, so the simulator's recycled fiber stacks and process tables
+// never cross a thread — only claims specs from the window, executes
+// them, and stores the outcomes. Consequences:
 //
 //   * determinism: the sink observes the identical (index, spec, outcome)
 //     sequence at any --jobs level, so campaign logs, failure lists,
@@ -23,9 +25,11 @@
 // use this mode (docs/TESTING.md): parallelism never changes results,
 // but it reorders *wall-clock* interleaving, which the watchdog reads.
 //
-// The generator and the sink always run under the executor lock (i.e.
-// single-threaded, mutually excluded); keep them to bookkeeping and do
-// the real work in the execute stage.
+// At every jobs level the generator and the sink run on the calling
+// thread, one call at a time, outside the executor lock: they may own
+// thread-affine state (the explorer's DFS drives its own SimRuntime from
+// the generator) and may take as long as they need while the workers
+// keep executing. Only the execute stage runs on the workers.
 #pragma once
 
 #include <condition_variable>
@@ -41,6 +45,11 @@
 #include "engine/trial.hpp"
 
 namespace bprc::engine {
+
+/// Ceiling on a requested worker count (--jobs, --workers, BPRC_JOBS):
+/// a larger number is a typo, and honoring it would start that many
+/// threads or processes.
+inline constexpr unsigned kMaxJobs = 1024;
 
 /// Worker-thread count for jobs=0 ("use the machine").
 inline unsigned default_jobs() {
@@ -66,9 +75,9 @@ class TrialExecutor {
   /// Generic ordered sweep: `next` yields specs (nullopt = end of
   /// stream), `execute` runs one spec on a worker (its thread-pinned
   /// SimReuse supplied), `sink` consumes outcomes in generation order
-  /// (return false to stop). Spec/Outcome are arbitrary movable types —
-  /// the consensus pipeline below is one instantiation, the coin-toss
-  /// bench another.
+  /// (return false to stop); `next` and `sink` run on the calling
+  /// thread. Spec/Outcome are arbitrary movable types — the consensus
+  /// pipeline below is one instantiation, the coin-toss bench another.
   template <typename Spec, typename Outcome>
   void run_ordered(
       const std::function<std::optional<Spec>()>& next,
@@ -127,87 +136,97 @@ class TrialExecutor {
 
  private:
   template <typename Spec, typename Outcome>
-  struct Slot {
-    Spec spec;
-    std::optional<Outcome> outcome;
-    bool taken = false;  ///< a worker is executing it
-  };
-
-  template <typename Spec, typename Outcome>
   void run_parallel(
       const std::function<std::optional<Spec>()>& next,
       const std::function<Outcome(const Spec&, SimReuse&)>& execute,
       const std::function<bool(std::size_t, const Spec&, Outcome&&)>& sink)
       const {
-    using S = Slot<Spec, Outcome>;
+    struct Slot {
+      Spec spec;
+      std::optional<Outcome> outcome;
+    };
     std::mutex m;
-    std::condition_variable cv;
+    std::condition_variable work_cv;  ///< a spec was pushed, or stop
+    std::condition_variable done_cv;  ///< a worker stored an outcome
     // In-flight window. std::deque keeps element references stable across
     // push_back/pop_front, so a worker can hold its claimed slot across
     // the unlocked execute stage.
-    std::deque<S> window;
+    std::deque<Slot> window;
     std::size_t window_base = 0;  ///< generation index of window.front()
-    bool exhausted = false;       ///< generator returned nullopt
-    bool stop = false;            ///< sink requested stop
+    std::size_t claimed = 0;      ///< generation index of the next claim
+    bool stop = false;            ///< sweep over: workers exit
 
     auto worker = [&] {
       SimReuse reuse;  // pinned to this worker thread for its lifetime
       std::unique_lock<std::mutex> lk(m);
       for (;;) {
+        work_cv.wait(lk, [&] {
+          return stop || claimed < window_base + window.size();
+        });
         if (stop) return;
-
-        // Claim the oldest unexecuted spec, if any.
-        S* claimed = nullptr;
-        for (S& slot : window) {
-          if (!slot.taken && !slot.outcome.has_value()) {
-            slot.taken = true;
-            claimed = &slot;
-            break;
-          }
-        }
-        if (claimed != nullptr) {
-          lk.unlock();
-          Outcome out = execute(claimed->spec, reuse);
-          lk.lock();
-          if (stop) return;
-          claimed->outcome.emplace(std::move(out));
-          // Deliver the completed prefix in order. Only the thread that
-          // just completed a slot drains, and it drains under the lock,
-          // so the sink is never entered concurrently.
-          while (!stop && !window.empty() &&
-                 window.front().outcome.has_value()) {
-            S& front = window.front();
-            const bool more =
-                sink(window_base, front.spec, std::move(*front.outcome));
-            window.pop_front();
-            ++window_base;
-            if (!more) stop = true;
-          }
-          cv.notify_all();
-          continue;
-        }
-
-        // No executable slot: refill the window from the generator.
-        if (!exhausted && window.size() < config_.window) {
-          std::optional<Spec> spec = next();
-          if (!spec.has_value()) {
-            exhausted = true;
-          } else {
-            window.push_back(S{std::move(*spec), std::nullopt, false});
-          }
-          cv.notify_all();
-          continue;
-        }
-
-        if (exhausted && window.empty()) return;  // fully drained
-        cv.wait(lk);
+        // Specs are claimed in generation order, so the unclaimed ones
+        // are the window's tail.
+        Slot& slot = window[claimed++ - window_base];
+        lk.unlock();
+        Outcome out = execute(slot.spec, reuse);
+        lk.lock();
+        slot.outcome.emplace(std::move(out));
+        done_cv.notify_one();
       }
     };
 
     std::vector<std::thread> pool;
-    pool.reserve(config_.jobs);
-    for (unsigned i = 0; i < config_.jobs; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    // Every way out of the coordinator stops and joins the pool, an
+    // exception from the generator or the sink included.
+    auto stop_workers = [&] {
+      {
+        const std::lock_guard<std::mutex> guard(m);
+        stop = true;
+      }
+      work_cv.notify_all();
+      for (std::thread& t : pool) t.join();
+    };
+    try {
+      pool.reserve(config_.jobs);
+      for (unsigned i = 0; i < config_.jobs; ++i) pool.emplace_back(worker);
+
+      // The coordinator: deliver the completed prefix, else refill the
+      // window, else wait for a worker. The sink and the generator run
+      // unlocked, so the workers keep claiming meanwhile.
+      bool exhausted = false;  ///< generator returned nullopt
+      std::unique_lock<std::mutex> lk(m);
+      for (;;) {
+        if (!window.empty() && window.front().outcome.has_value()) {
+          Slot front = std::move(window.front());
+          window.pop_front();
+          const std::size_t index = window_base++;
+          lk.unlock();
+          const bool more =
+              sink(index, front.spec, std::move(*front.outcome));
+          lk.lock();
+          if (!more) break;
+          continue;
+        }
+        if (!exhausted && window.size() < config_.window) {
+          lk.unlock();
+          std::optional<Spec> spec = next();
+          lk.lock();
+          if (!spec.has_value()) {
+            exhausted = true;
+          } else {
+            window.push_back(Slot{std::move(*spec), std::nullopt});
+            work_cv.notify_one();
+          }
+          continue;
+        }
+        if (window.empty()) break;  // exhausted and fully delivered
+        done_cv.wait(lk);
+      }
+    } catch (...) {
+      stop_workers();
+      throw;
+    }
+    stop_workers();
   }
 
   ExecutorConfig config_;

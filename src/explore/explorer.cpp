@@ -6,14 +6,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "engine/executor.hpp"
@@ -66,55 +61,14 @@ class ExploreShim final : public Adversary {
 /// One choice point on the DFS trail — exactly what a frontier saves.
 using Node = FrontierNode;
 
-/// Bounded handoff between the enumerating coordinator and the grading
-/// pump (the TrialExecutor's generator pops from here). Backpressure on
-/// push keeps at most capacity + executor-window leaves in flight.
-class LeafQueue {
- public:
-  explicit LeafQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Blocks while full; false once abort()ed (sink stopped the sweep).
-  bool push(LeafSpec&& spec) {
-    std::unique_lock<std::mutex> lk(m_);
-    cv_.wait(lk, [&] { return aborted_ || q_.size() < capacity_; });
-    if (aborted_) return false;
-    q_.push_back(std::move(spec));
-    cv_.notify_all();
-    return true;
-  }
-
-  /// Blocks while empty; nullopt once closed-and-drained or abort()ed.
-  std::optional<LeafSpec> pop() {
-    std::unique_lock<std::mutex> lk(m_);
-    cv_.wait(lk, [&] { return aborted_ || closed_ || !q_.empty(); });
-    if (aborted_ || q_.empty()) return std::nullopt;
-    LeafSpec spec = std::move(q_.front());
-    q_.pop_front();
-    cv_.notify_all();
-    return spec;
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lk(m_);
-    closed_ = true;
-    cv_.notify_all();
-  }
-
-  void abort() {
-    std::lock_guard<std::mutex> lk(m_);
-    aborted_ = true;
-    q_.clear();
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::deque<LeafSpec> q_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  bool aborted_ = false;
+/// One enumerated execution on its way to deliver(). A cut leaf (batched
+/// grading) carries only its replay prefix and is graded on an executor
+/// worker; every other execution was settled on the DFS thread — graded
+/// inline, pruned, or quarantined — and the execute stage hands
+/// `settled` back.
+struct Leaf {
+  LeafSpec spec;
+  std::optional<LeafOutcome> settled;
 };
 
 /// The isolated crash verdict reads each child's exit status. An
@@ -141,6 +95,7 @@ class Explorer final : public FlipTape, public TraceSink {
         reuse_(reuse_runtime),
         nprocs_(target.nprocs()),
         frontier_(frontier != nullptr ? *frontier : FrontierOptions{}),
+        cut_leaves_(limits.grade_jobs > 1),
         seen_(SeenCache::Layout::kCompact, limits.max_cache_bytes) {
     BPRC_REQUIRE(nprocs_ > 0, "explore target needs at least one process");
     BPRC_REQUIRE(nprocs_ <= kRunnableMaskBits,
@@ -156,7 +111,6 @@ class Explorer final : public FlipTape, public TraceSink {
                    "frontier split needs a branch region");
     }
     if (limits_.isolate_leaves) make_children_waitable();
-    if (limits_.grade_jobs > 1) mode_ = Mode::kBatched;
     config_fp_ = config_fingerprint();
   }
 
@@ -175,37 +129,60 @@ class Explorer final : public FlipTape, public TraceSink {
       pending_backtrack = true;  // saved trail is a post-execution snapshot
     }
 
-    if (mode_ == Mode::kBatched) start_pump();
-    bool more = true;
-    if (pending_backtrack) more = backtrack();
-    while (more) {
-      execute_once();
-      const bool stopped_by_violations =
-          mode_ == Mode::kBatched
-              ? stop_requested_.load(std::memory_order_relaxed)
-              : violations_.size() >= limits_.max_violations;
-      if (stopped_by_violations ||
-          (limits_.max_executions != 0 &&
-           enumerated_ >= limits_.max_executions) ||
-          (limits_.max_states != 0 &&
-           stats_.states_visited >= limits_.max_states)) {
-        stats_.complete = false;
-        break;
-      }
-      if (frontier_.checkpoint_every != 0 &&
-          !frontier_.checkpoint_path.empty() &&
-          enumerated_ % frontier_.checkpoint_every == 0) {
-        if (mode_ == Mode::kBatched) drain_pump();
-        save_checkpoint(/*complete=*/false);
-        if (mode_ == Mode::kBatched) start_pump();
-      }
-      more = backtrack();
-    }
-    if (mode_ == Mode::kBatched) drain_pump();
-    if (checkpoint_unsafe_) stats_.complete = false;
+    // One loop at every jobs level: the DFS runs here as the executor's
+    // generator, the sink folds each execution into the result in
+    // generation order, and at grade_jobs > 1 the workers grade the cut
+    // leaves. A checkpoint boundary ends one run_ordered() call with
+    // everything delivered; the next call resumes by backtracking.
+    // The DFS is the slowest stage once a few workers grade, and it
+    // waits whenever a full window's front leaf is still being graded,
+    // so its window is twice the executor's default.
+    const unsigned jobs = cut_leaves_ ? limits_.grade_jobs : 1;
+    const engine::TrialExecutor executor(
+        engine::ExecutorConfig{jobs, 8 * std::size_t{jobs}});
+    Stop stop = Stop::kNone;
+    do {
+      stop = Stop::kNone;
+      executor.run_ordered<Leaf, LeafOutcome>(
+          [&]() -> std::optional<Leaf> {
+            if (stop != Stop::kNone) return std::nullopt;
+            if (pending_backtrack && !backtrack()) return std::nullopt;
+            pending_backtrack = true;
+            Leaf leaf = execute_once();
+            if ((limits_.max_executions != 0 &&
+                 enumerated_ >= limits_.max_executions) ||
+                (limits_.max_states != 0 &&
+                 stats_.states_visited >= limits_.max_states)) {
+              stop = Stop::kValve;
+            } else if (frontier_.checkpoint_every != 0 &&
+                       !frontier_.checkpoint_path.empty() &&
+                       enumerated_ % frontier_.checkpoint_every == 0) {
+              stop = Stop::kCheckpoint;
+            }
+            return leaf;
+          },
+          [this](const Leaf& leaf, SimReuse& reuse) -> LeafOutcome {
+            if (leaf.settled.has_value()) return *leaf.settled;
+            return grade_leaf(target_, limits_, seed_, leaf.spec, reuse);
+          },
+          [&](std::size_t, const Leaf& leaf, LeafOutcome&& out) {
+            deliver(leaf.spec, out);
+            if (violations_.size() < limits_.max_violations) return true;
+            // Stop after a deterministic prefix. With cut leaves the DFS
+            // may have run up to a window ahead; the digest and the
+            // violation list have not.
+            stop = Stop::kViolations;
+            return false;
+          });
+      if (stop == Stop::kCheckpoint) save_checkpoint(/*complete=*/false);
+    } while (stop == Stop::kCheckpoint);
+    if (stop != Stop::kNone) stats_.complete = false;
+    // The trail of a DFS that ran ahead of its deliveries describes no
+    // delivered prefix, so no checkpoint can be taken from it.
+    const bool checkpoint_safe = !(cut_leaves_ && stop == Stop::kViolations);
 
     finalize_stats();
-    if (!frontier_.checkpoint_path.empty() && !checkpoint_unsafe_) {
+    if (!frontier_.checkpoint_path.empty() && checkpoint_safe) {
       save_checkpoint(stats_.complete);
     }
     return ExploreResult{stats_, std::move(violations_)};
@@ -220,9 +197,9 @@ class Explorer final : public FlipTape, public TraceSink {
 
     const std::uint64_t depth = exec_schedule_.size();
     if (depth >= limits_.branch_depth) {
-      if (mode_ == Mode::kBatched) {
+      if (cut_leaves_) {
         // The leaf is fully determined by its prefix: cut here and let
-        // the grading pipeline replay prefix + deterministic tail.
+        // an executor worker replay prefix + deterministic tail.
         cut_ = true;
         return -1;
       }
@@ -418,7 +395,8 @@ class Explorer final : public FlipTape, public TraceSink {
 
  private:
   enum : std::uint64_t { kDigestRunEnd = 0xE0D };
-  enum class Mode { kInline, kBatched };
+  /// Why one run_ordered() call ended early.
+  enum class Stop { kNone, kCheckpoint, kValve, kViolations };
 
   /// True once this execution has reached the branching depth. Depth
   /// only grows within an execution and fingerprints are taken only at
@@ -563,10 +541,10 @@ class Explorer final : public FlipTape, public TraceSink {
   }
 
   /// Folds one graded execution into the result — digest, counters,
-  /// violation list — in generation order. Every mode funnels through
-  /// here, which is what makes jobs levels byte-identical: the serial
-  /// path delivers inline, the batched path from the engine's ordered
-  /// sink, a quarantined branch from quarantine().
+  /// violation list — in generation order. Every execution funnels
+  /// through here from the executor's ordered sink — graded inline, by a
+  /// worker, pruned or quarantined alike — which is what makes jobs
+  /// levels byte-identical.
   void deliver(const LeafSpec& spec, LeafOutcome& out) {
     for (const std::uint8_t b : out.events) {
       stats_.schedule_digest = fnv_mix(stats_.schedule_digest, b);
@@ -597,13 +575,11 @@ class Explorer final : public FlipTape, public TraceSink {
     }
   }
 
-  void execute_once() {
+  /// Runs the DFS's next execution and packages it for the executor.
+  Leaf execute_once() {
     if (limits_.isolate_leaves) {
       int status = 0;
-      if (!probe_survives(&status)) {
-        quarantine(status);
-        return;
-      }
+      if (!probe_survives(&status)) return quarantine(status);
     }
     const RunResult run = run_core();
     ++enumerated_;
@@ -611,39 +587,25 @@ class Explorer final : public FlipTape, public TraceSink {
         std::max(stats_.max_trail_depth,
                  static_cast<std::uint64_t>(trail_.size()));
 
-    if (mode_ == Mode::kInline) {
-      LeafSpec spec;
-      spec.flips = exec_flips_;
-      spec.stales = exec_stales_;
-      LeafOutcome out;
-      out.events = std::move(exec_events_);
-      out.steps = run.steps;
-      if (pruned_) {
-        out.pruned = true;
-      } else {
-        out.complete = run.reason == RunResult::Reason::kAllDone;
-        out.violation = instance_->check(*runtime_, run, out.complete);
-      }
-      instance_.reset();  // destroy shared state before the next reset()
-      deliver(spec, out);
-      exec_events_ = std::move(out.events);  // keep the buffer's capacity
-      return;
+    Leaf leaf;
+    leaf.spec.flips = exec_flips_;
+    leaf.spec.stales = exec_stales_;
+    if (cut_leaves_ && !pruned_) {
+      leaf.spec.schedule = exec_schedule_;
+      instance_.reset();
+      return leaf;
     }
-
-    instance_.reset();
-    LeafSpec spec;
-    spec.pruned = pruned_;
-    spec.steps = run.steps;
-    spec.events = std::move(exec_events_);
-    if (!pruned_) {
-      spec.schedule = exec_schedule_;
-      spec.flips = exec_flips_;
-      spec.stales = exec_stales_;
+    LeafOutcome& out = leaf.settled.emplace();
+    out.events = exec_events_;
+    out.steps = run.steps;
+    if (pruned_) {
+      out.pruned = true;
+    } else {
+      out.complete = run.reason == RunResult::Reason::kAllDone;
+      out.violation = instance_->check(*runtime_, run, out.complete);
     }
-    if (!queue_->push(std::move(spec))) {
-      // abort()ed: the sink stopped the sweep; the run loop breaks on
-      // stop_requested_ right after this call.
-    }
+    instance_.reset();  // destroy shared state before the next reset()
+    return leaf;
   }
 
   /// Runs one execution on the simulator: runtime setup, the run itself,
@@ -703,14 +665,6 @@ class Explorer final : public FlipTape, public TraceSink {
     return run;
   }
 
-  static LeafOutcome passthrough(const LeafSpec& spec) {
-    LeafOutcome out;
-    out.pruned = true;
-    out.events = spec.events;
-    out.steps = spec.steps;
-    return out;
-  }
-
   /// --isolate: the whole execution (enumeration run *and* grading) runs
   /// first in a fork()ed child, so a protocol that kills its host process
   /// (e.g. broken-segv, which dies on the first propose() step, inside the
@@ -752,10 +706,11 @@ class Explorer final : public FlipTape, public TraceSink {
   /// replay prefix it *does* know — the trail's chosen picks, coin values
   /// and stale choices, in trail order — becomes the artifact, and
   /// backtrack() moves past the poisoned subtree.
-  void quarantine(int status) {
+  Leaf quarantine(int status) {
     ++enumerated_;
-    LeafSpec spec;
-    LeafOutcome out;
+    Leaf leaf;
+    LeafSpec& spec = leaf.spec;
+    LeafOutcome& out = leaf.settled.emplace();
     for (const Node& node : trail_) {
       if (node.is_coin) {
         out.events.push_back(node.coin_value ? kEventFlipTrue
@@ -787,7 +742,7 @@ class Explorer final : public FlipTape, public TraceSink {
     stats_.max_trail_depth =
         std::max(stats_.max_trail_depth,
                  static_cast<std::uint64_t>(trail_.size()));
-    deliver(spec, out);
+    return leaf;
   }
 
   /// Advances the trail to the next unexplored branch; false = done.
@@ -824,44 +779,6 @@ class Explorer final : public FlipTape, public TraceSink {
       trail_.pop_back();
     }
     return false;
-  }
-
-  // --- grading pump (kBatched): TrialExecutor on a helper thread, fed
-  // from the bounded queue, delivering to deliver() in generation order.
-  void start_pump() {
-    const std::size_t window = 4 * static_cast<std::size_t>(limits_.grade_jobs);
-    queue_ = std::make_unique<LeafQueue>(window);
-    pump_ = std::thread([this] { pump_main(); });
-  }
-
-  void pump_main() {
-    const engine::TrialExecutor executor(
-        engine::ExecutorConfig{limits_.grade_jobs, 0});
-    executor.run_ordered<LeafSpec, LeafOutcome>(
-        [this]() -> std::optional<LeafSpec> { return queue_->pop(); },
-        [this](const LeafSpec& spec, SimReuse& reuse) -> LeafOutcome {
-          if (spec.pruned) return passthrough(spec);
-          return grade_leaf(target_, limits_, seed_, spec, reuse);
-        },
-        [this](std::size_t, const LeafSpec& spec, LeafOutcome&& out) {
-          deliver(spec, out);
-          if (violations_.size() >= limits_.max_violations) {
-            // Stop after a deterministic prefix — same cutoff the serial
-            // loop applies. Enumeration-side counters may have run a
-            // window ahead; the digest and violation list have not.
-            stop_requested_.store(true, std::memory_order_relaxed);
-            checkpoint_unsafe_ = true;
-            queue_->abort();
-            return false;
-          }
-          return true;
-        });
-  }
-
-  void drain_pump() {
-    if (!pump_.joinable()) return;
-    queue_->close();
-    pump_.join();
   }
 
   // --- checkpoint / resume ---
@@ -936,7 +853,9 @@ class Explorer final : public FlipTape, public TraceSink {
   const bool reuse_;
   const int nprocs_;
   const FrontierOptions frontier_;
-  Mode mode_ = Mode::kInline;
+  /// Batched grading: cut each leaf at the branch boundary and let the
+  /// executor's workers replay and grade it.
+  const bool cut_leaves_;
   std::uint64_t config_fp_ = 0;
 
   std::unique_ptr<SimRuntime> runtime_;
@@ -952,7 +871,7 @@ class Explorer final : public FlipTape, public TraceSink {
   std::uint64_t stales_used_ = 0;   ///< stale nodes passed on this path
   std::uint64_t cur_sleep_ = 0;     ///< sleep set inherited by the frontier
   bool pruned_ = false;
-  bool cut_ = false;                ///< leaf shipped to the grading pipeline
+  bool cut_ = false;                ///< cut at the branch boundary
   std::vector<ProcId> exec_schedule_;
   std::vector<bool> exec_flips_;
   std::vector<int> exec_stales_;    ///< forced stale choices (replay prefix)
@@ -964,12 +883,6 @@ class Explorer final : public FlipTape, public TraceSink {
   std::uint64_t objects_fold_ = 0;          ///< XOR of entry hashes
   std::vector<std::uint64_t> proc_hash_;    ///< per-process history hash
   std::vector<std::uint64_t> proc_writes_;
-
-  // Grading pump (kBatched).
-  std::unique_ptr<LeafQueue> queue_;
-  std::thread pump_;
-  std::atomic<bool> stop_requested_{false};
-  bool checkpoint_unsafe_ = false;  ///< trail ran ahead of deliveries
 
   // Enumeration-side progress (== stats_.executions once drained).
   std::uint64_t enumerated_ = 0;

@@ -202,7 +202,7 @@ struct FrontierOptions {
   /// Where to write checkpoints; empty = never write. A checkpoint is
   /// written when the exploration ends (complete or valve-stopped) and,
   /// if checkpoint_every > 0, after every that-many enumerated
-  /// executions. Checkpoints are taken at drained pipeline boundaries,
+  /// executions. Checkpoints are taken with every leaf delivered,
   /// so a resumed run reproduces the uninterrupted schedule_digest.
   std::string checkpoint_path;
   std::uint64_t checkpoint_every = 0;

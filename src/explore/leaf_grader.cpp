@@ -119,7 +119,6 @@ std::vector<ProcId> decode_schedule(const std::vector<std::uint8_t>& events) {
 LeafOutcome grade_leaf(ExploreTarget& target, const ExploreLimits& limits,
                        std::uint64_t seed, const LeafSpec& spec,
                        SimReuse& reuse) {
-  BPRC_REQUIRE(!spec.pruned, "pruned leaves carry their outcome already");
   LeafOutcome out;
   SimRuntime& rt = reuse.acquire(
       target.nprocs(),

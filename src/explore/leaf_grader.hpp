@@ -42,17 +42,11 @@ inline constexpr std::uint8_t kEventFlipTrue = 0xF1;
 inline constexpr std::uint8_t kEventWorkerCrash = 0xCF;
 inline constexpr std::uint8_t kEventStaleBase = 0x80;  ///< + choice
 
-/// One enumerated execution, ready to grade. For pruned executions
-/// (cache merge / sleep-blocked frontier) no re-execution is needed —
-/// the spec carries the coordinator-observed events and step count so
-/// delivery-order folding stays uniform.
+/// One enumerated execution's replay prefix, ready to grade.
 struct LeafSpec {
-  bool pruned = false;
-  std::vector<ProcId> schedule;      ///< replay prefix (branch region)
-  std::vector<bool> flips;           ///< forced local-coin prefix
-  std::vector<int> stales;           ///< forced stale-read choice prefix
-  std::vector<std::uint8_t> events;  ///< coordinator-observed prefix events
-  std::uint64_t steps = 0;           ///< coordinator-observed prefix steps
+  std::vector<ProcId> schedule;  ///< replay prefix (branch region)
+  std::vector<bool> flips;       ///< forced local-coin prefix
+  std::vector<int> stales;       ///< forced stale-read choice prefix
 };
 
 struct LeafOutcome {
@@ -68,7 +62,7 @@ struct LeafOutcome {
 /// artifacts: the full schedule includes the deterministic tail).
 std::vector<ProcId> decode_schedule(const std::vector<std::uint8_t>& events);
 
-/// Re-executes one non-pruned leaf on `reuse` and grades it. The replay
+/// Re-executes one leaf on `reuse` and grades it. The replay
 /// prefix is scripted; past it, picks round-robin from the last
 /// scheduled process and coins draw from the seed-derived generators —
 /// exactly the serial explorer's deterministic tail.

@@ -60,12 +60,14 @@ class NativeLoc {
             int object_id = -1)
       : rt_(rt),
         sink_(rt.mem_sink()),
-        trace_(rt.trace_sink()),
         object_(object_id),
         word_(pack(0, initial)) {
     BPRC_REQUIRE(initial <= kPayloadMask, "initial payload exceeds 24 bits");
+    // Native registers report no TraceSink traffic: an explorer driving
+    // one would fingerprint nothing and merge distinct states.
+    BPRC_REQUIRE(rt.trace_sink() == nullptr,
+                 "native registers do not feed a TraceSink");
     if (sink_ != nullptr) loc_ = sink_->on_location(name, initial);
-    if (trace_ != nullptr) trace_id_ = trace_->on_object_created();
   }
 
   NativeLoc(const NativeLoc&) = delete;
@@ -82,7 +84,6 @@ class NativeLoc {
     if (sink_ != nullptr) {
       record(MemAction::Kind::kStore, order, payload, /*rf=*/0, version);
     }
-    if (trace_ != nullptr) trace_->on_write(rt_.self(), trace_id_);
   }
 
   /// Load with the chosen order; returns the full packed word so callers
@@ -94,7 +95,6 @@ class NativeLoc {
       record(MemAction::Kind::kLoad, order, payload_of(word),
              version_of(word), /*mo=*/0);
     }
-    if (trace_ != nullptr) trace_->on_read(rt_.self(), trace_id_);
     return word;
   }
 
@@ -128,7 +128,6 @@ class NativeLoc {
       record(MemAction::Kind::kRmw, std::memory_order_seq_cst, next,
              version_of(expected), version_of(expected) + 1);
     }
-    if (trace_ != nullptr) trace_->on_write(rt_.self(), trace_id_);
     return {payload_of(expected), next};
   }
 
@@ -153,7 +152,6 @@ class NativeLoc {
       a.mo = 0;
       index = sink_->on_action(a);
     }
-    if (trace_ != nullptr) trace_->on_write(rt_.self(), trace_id_);
     return index;
   }
 
@@ -189,8 +187,6 @@ class NativeLoc {
 
   Runtime& rt_;
   MemActionSink* sink_;  ///< cached at construction (see MemActionSink)
-  TraceSink* trace_;     ///< cached at construction (see TraceSink)
-  int trace_id_ = -1;
   int loc_ = -1;
   int object_;
   std::uint64_t shadow_version_ = 0;  ///< owner-local; store_swmr only

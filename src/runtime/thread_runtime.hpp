@@ -53,13 +53,9 @@ class ThreadRuntime final : public Runtime {
   /// run (regression-tested in test_thread_runtime).
   void rendezvous(int expected);
 
-  /// Installs (or clears, with nullptr) the shared-memory observer.
+  /// Installs (or clears, with nullptr) the native-atomics observer.
   /// Must be set before the shared objects that should report to it are
-  /// constructed — they cache the pointer (see TraceSink).
-  void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
-
-  /// Installs (or clears, with nullptr) the native-atomics observer;
-  /// same caching contract as set_trace_sink.
+  /// constructed — they cache the pointer (see MemActionSink).
   void set_mem_sink(MemActionSink* sink) { mem_sink_ = sink; }
 
   // --- Runtime interface ---
@@ -71,7 +67,6 @@ class ThreadRuntime final : public Runtime {
   void publish_hint(const Hint& hint) override;
   std::uint64_t steps(ProcId p) const override;
   std::uint64_t total_steps() const override { return total_steps_.load(); }
-  TraceSink* trace_sink() const override { return trace_sink_; }
   MemActionSink* mem_sink() const override { return mem_sink_; }
 
  private:
@@ -98,7 +93,6 @@ class ThreadRuntime final : public Runtime {
   std::uint64_t max_steps_ = 0;
   mutable std::mutex hint_mutex_;
   bool ran_ = false;
-  TraceSink* trace_sink_ = nullptr;
   MemActionSink* mem_sink_ = nullptr;
 
   // rendezvous() barrier state, guarded by park_mu_.

@@ -63,10 +63,14 @@
 #       bench_frontier (E11) aborts unless every budget's campaign digest
 #       is the same at jobs=1, jobs=max and 2 forked workers
 #
-# And a malformed numeric option must be refused, not parsed as a prefix:
+# And a malformed numeric option must be refused, not parsed as a prefix,
+# and a thread or process count above the ceiling refused at parse time:
 #
 #   artifact_roundtrips.sh cli-args BIN_DIR WORK_DIR
-#       each bad value exits 2 with the option named on stderr
+#       each bad value exits 2 with the option named on stderr; an
+#       over-ceiling count is followed by a malformed option, so a build
+#       that let the count through still exits at parse time, starting
+#       nothing, and fails the line for naming the wrong option
 #
 # BIN_DIR holds bprc_torture and bprc_explore; BENCH_DIR holds
 # bench_frontier. Registered with ctest under the `smoke` label:
@@ -293,6 +297,9 @@ EOF
 --seeds bprc_torture --seeds 3x
 --frontier-split bprc_explore --protocol bprc --n 2 --inputs 0,1 --frontier-split 1/2x
 --shard bprc_torture --smoke --shard 0/3x
+--jobs bprc_torture --jobs 100000 --seeds abc
+--workers bprc_torture --workers 100000 --seeds abc
+--jobs bprc_explore --jobs 100000 --depth abc
 EOF
     ;;
 

@@ -4,8 +4,9 @@
 //   * EngineExecutor.* — the generic ordered-delivery machinery, exercised
 //     with compute-only trials (no simulator, no fibers). These are the
 //     tests CI runs under ThreadSanitizer: they drive the full
-//     multi-threaded claim/execute/drain path with shared sink state,
-//     so any locking hole in the executor shows up as a TSan race.
+//     multi-threaded generate/claim/execute/deliver path with shared
+//     generator and sink state, so any locking hole in the executor
+//     shows up as a TSan race.
 //   * EngineCampaign.* / EngineShrink.* — jobs=1 vs jobs=4 bit-identity
 //     of everything the fault layer produces: failure lists, recorded
 //     schedules and crashes, summary digests, shrink probe counts.
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,8 +100,9 @@ TEST(EngineExecutor, EarlyStopDeliversTheExactPrefix) {
 
 TEST(EngineExecutor, StressManyItemsManyWorkers) {
   // The TSan workhorse: thousands of uneven items over 8 workers, with
-  // the generator and sink mutating plain (unsynchronized) state — the
-  // executor's lock is what keeps that correct.
+  // the generator and sink mutating plain (unsynchronized) state — they
+  // run on the calling thread only, and the executor's lock orders every
+  // spec and outcome handoff with the workers.
   constexpr std::uint64_t kItems = 5000;
   TrialExecutor executor({8, 0});
   std::uint64_t generated = 0;
@@ -135,6 +138,65 @@ TEST(EngineExecutor, EmptyGeneratorIsANoOp) {
           return true;
         });
     EXPECT_FALSE(delivered) << "jobs=" << jobs;
+  }
+}
+
+TEST(EngineExecutor, GeneratorAndSinkRunOnTheCallingThread) {
+  // The coordinator contract: at jobs > 1 the calling thread generates
+  // and delivers and the workers only execute, so a generator may drive
+  // thread-affine state (the explorer's DFS owns its SimRuntime).
+  constexpr std::uint64_t kItems = 400;
+  const std::thread::id caller = std::this_thread::get_id();
+  TrialExecutor executor({4, 0});
+  std::uint64_t generated = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t foreign_calls = 0;  ///< generator/sink calls off the caller
+  std::atomic<std::uint64_t> caller_executions{0};
+  executor.run_ordered<std::uint64_t, std::uint64_t>(
+      [&]() -> std::optional<std::uint64_t> {
+        if (std::this_thread::get_id() != caller) ++foreign_calls;
+        if (generated >= kItems) return std::nullopt;
+        return generated++;
+      },
+      [&](const std::uint64_t& item, SimReuse&) {
+        if (std::this_thread::get_id() == caller) ++caller_executions;
+        return spin_work(item);
+      },
+      [&](std::size_t, const std::uint64_t&, std::uint64_t&&) {
+        if (std::this_thread::get_id() != caller) ++foreign_calls;
+        ++delivered;
+        return true;
+      });
+  EXPECT_EQ(delivered, kItems);
+  EXPECT_EQ(foreign_calls, 0u);
+  EXPECT_EQ(caller_executions.load(), 0u);
+}
+
+TEST(EngineExecutor, GeneratorAndSinkExceptionsReachTheCaller) {
+  // Both run on the calling thread, so what they throw unwinds out of
+  // run_ordered() once the worker pool is stopped and joined.
+  for (const bool from_sink : {false, true}) {
+    TrialExecutor executor({4, 0});
+    std::uint64_t generated = 0;
+    auto sweep = [&] {
+      executor.run_ordered<std::uint64_t, std::uint64_t>(
+          [&]() -> std::optional<std::uint64_t> {
+            if (!from_sink && generated == 50) {
+              throw std::runtime_error("generator failed");
+            }
+            return generated++;
+          },
+          [](const std::uint64_t& item, SimReuse&) {
+            return spin_work(item);
+          },
+          [&](std::size_t index, const std::uint64_t&, std::uint64_t&&) {
+            if (from_sink && index == 50) {
+              throw std::runtime_error("sink failed");
+            }
+            return true;
+          });
+    };
+    EXPECT_THROW(sweep(), std::runtime_error) << "from_sink=" << from_sink;
   }
 }
 

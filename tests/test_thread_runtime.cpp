@@ -201,55 +201,6 @@ TEST(ThreadRuntime, ScriptedFlipTapeExhaustsThenPassesThrough) {
   EXPECT_EQ(taped[5], untaped[5]);
 }
 
-namespace {
-/// TraceSink whose read/write hooks re-enter the runtime by reading
-/// another (sink-less) register — the reentrancy pattern exploration
-/// sinks use for state fingerprinting.
-class ReentrantSink final : public TraceSink {
- public:
-  ReentrantSink(ThreadRuntime& rt, SWMRRegister<int>& inner)
-      : rt_(rt), inner_(inner) {}
-
-  int on_object_created() override { return next_id_.fetch_add(1); }
-  void on_read(ProcId, int) override { reenter(); }
-  void on_write(ProcId, int) override { reenter(); }
-  void on_event(ProcId, int, std::uint64_t, bool) override {}
-
-  int events() const { return events_.load(); }
-
- private:
-  void reenter() {
-    events_.fetch_add(1);
-    // inner_ was constructed before the sink was installed, so its cached
-    // sink pointer is null and this read does not recurse further.
-    (void)inner_.read();
-  }
-
-  ThreadRuntime& rt_;
-  SWMRRegister<int>& inner_;
-  std::atomic<int> next_id_{0};
-  std::atomic<int> events_{0};
-};
-}  // namespace
-
-TEST(ThreadRuntime, TraceSinkReentrancyIsSafe) {
-  ThreadRuntime rt(2, 3, /*yield_prob=*/0.1);
-  SWMRRegister<int> inner(rt, /*owner=*/0, 0);  // pre-sink: null cached sink
-  ReentrantSink sink(rt, inner);
-  rt.set_trace_sink(&sink);
-  ASSERT_EQ(rt.trace_sink(), &sink);
-  SWMRRegister<int> outer(rt, /*owner=*/0, 0);  // post-sink: reports
-  rt.spawn(0, [&] {
-    for (int v = 1; v <= 50; ++v) outer.write(v);
-  });
-  rt.spawn(1, [&] {
-    for (int k = 0; k < 50; ++k) (void)outer.read();
-  });
-  const RunResult res = rt.run(10'000'000);
-  EXPECT_EQ(res.reason, RunResult::Reason::kAllDone);
-  EXPECT_EQ(sink.events(), 100);  // 50 writes + 50 reads, each re-entered
-}
-
 TEST(ThreadRuntime, PerProcessRngStreamsDiffer) {
   ThreadRuntime rt(2, 9);
   std::vector<std::uint64_t> draws(2);

@@ -192,7 +192,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--max-violations") { if (!number(i, &opt.max_violations)) return false; }
     else if (arg == "--max-executions") { if (!number(i, &opt.max_executions)) return false; }
     else if (arg == "--max-states") { if (!number(i, &opt.max_states)) return false; }
-    else if (arg == "--jobs") { if (!number(i, &opt.jobs)) return false; }
+    else if (arg == "--jobs") {
+      if (!number(i, &opt.jobs)) return false;
+      if (opt.jobs > engine::kMaxJobs) {
+        std::fprintf(stderr,
+                     "bprc_explore: --jobs %u exceeds the ceiling of %u\n",
+                     opt.jobs, engine::kMaxJobs);
+        return false;
+      }
+    }
     else if (arg == "--isolate") opt.isolate = true;
     else if (arg == "--max-cache-mb") { if (!number(i, &opt.max_cache_mb)) return false; }
     else if (arg == "--checkpoint-out") { if (!(v = need_value(i))) return false; opt.checkpoint_out = v; }

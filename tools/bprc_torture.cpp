@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/executor.hpp"
 #include "fault/campaign.hpp"
 #include "fault/native.hpp"
 #include "fault/protocols.hpp"
@@ -194,6 +195,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
     if (v == nullptr) return false;
     return record::parse_number(v, out) || bad(argv[i - 1], v);
   };
+  // A thread or process count: refused above engine::kMaxJobs, before
+  // anything is started.
+  auto count = [&](int& i, unsigned* out) {
+    if (!number(i, out)) return false;
+    if (*out <= engine::kMaxJobs) return true;
+    std::fprintf(stderr, "bprc_torture: %s %u exceeds the ceiling of %u\n",
+                 argv[i - 1], *out, engine::kMaxJobs);
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = nullptr;
@@ -203,7 +213,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--list-protocols") opt.list_protocols = true;
     else if (arg == "--list-adversaries") opt.list_adversaries = true;
     else if (arg == "--jobs") {
-      if (!number(i, &opt.jobs)) return false;
+      if (!count(i, &opt.jobs)) return false;
       opt.jobs_given = true;
     }
     else if (arg == "--native") opt.native = true;
@@ -253,7 +263,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--deadline-ms") { if (!number(i, &opt.deadline_ms)) return false; }
     else if (arg == "--max-failures") { if (!number(i, &opt.max_failures)) return false; }
     else if (arg == "--workers") {
-      if (!number(i, &opt.workers)) return false;
+      if (!count(i, &opt.workers)) return false;
       opt.workers_given = true;
     }
     else if (arg == "--reap") { if (!number(i, &opt.reap)) return false; }
