@@ -124,7 +124,8 @@ ConsensusRunResult run_consensus_sim(const ProtocolFactory& factory,
                                      std::chrono::nanoseconds deadline,
                                      SimReuse* reuse,
                                      const std::vector<bool>* forced_flips,
-                                     RegisterSemantics semantics) {
+                                     RegisterSemantics semantics,
+                                     ScheduleRecord* record) {
   const int n = static_cast<int>(inputs.size());
   // Recycled or freshly built, the runtime behaves identically; the
   // protocol instance is always fresh and dies with this call.
@@ -138,6 +139,7 @@ ConsensusRunResult run_consensus_sim(const ProtocolFactory& factory,
   // construction. reset() reverts a pooled runtime to atomic, so this
   // must be re-applied per trial.
   rt.set_register_semantics(semantics);
+  rt.set_record(record);
   const std::unique_ptr<ConsensusProtocol> protocol = factory(rt);
   for (ProcId p = 0; p < n; ++p) {
     const int input = inputs[static_cast<std::size_t>(p)];
@@ -148,8 +150,9 @@ ConsensusRunResult run_consensus_sim(const ProtocolFactory& factory,
   if (forced_flips != nullptr) rt.set_flip_tape(&tape);
   const RunResult run = rt.run(max_steps, deadline);
   // The tape dies with this call; never leave a pooled runtime pointing
-  // at it.
+  // at it (nor at the record).
   if (forced_flips != nullptr) rt.set_flip_tape(nullptr);
+  rt.set_record(nullptr);
   std::vector<bool> crashed(static_cast<std::size_t>(n), false);
   for (ProcId p = 0; p < n; ++p) crashed[static_cast<std::size_t>(p)] = rt.crashed(p);
   return evaluate_consensus(*protocol, inputs, rt, run, crashed);

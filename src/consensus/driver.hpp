@@ -138,14 +138,16 @@ ConsensusRunResult evaluate_consensus(const ConsensusProtocol& protocol,
 /// `semantics` weakens the registers the protocol is built on (applied to
 /// the runtime before the factory runs — registers cache it); the
 /// adversary's resolve_read arbitrates every read that overlaps an
-/// in-flight write.
+/// in-flight write. `record` (optional) receives the run's picks, crashes
+/// and stale-read choices (SimRuntime::set_record).
 ConsensusRunResult run_consensus_sim(
     const ProtocolFactory& factory, const std::vector<int>& inputs,
     std::unique_ptr<Adversary> adversary, std::uint64_t seed,
     std::uint64_t max_steps,
     std::chrono::nanoseconds deadline = std::chrono::nanoseconds::zero(),
     SimReuse* reuse = nullptr, const std::vector<bool>* forced_flips = nullptr,
-    RegisterSemantics semantics = RegisterSemantics::kAtomic);
+    RegisterSemantics semantics = RegisterSemantics::kAtomic,
+    ScheduleRecord* record = nullptr);
 
 /// Runs one instance on real threads (kernel scheduler as adversary).
 /// `deadline` (zero = off) arms the watchdog; see ThreadRuntime::run.

@@ -80,7 +80,8 @@ struct TrialSpec {
   std::chrono::nanoseconds deadline{0};
 
   /// Generative mode: capture the executed schedule + crash events into
-  /// the outcome (RecordingAdversary). Off for pure-throughput sweeps.
+  /// the outcome (the simulator records it: SimRuntime::set_record). Off
+  /// for pure-throughput sweeps.
   bool record = true;
 
   int n() const { return static_cast<int>(inputs.size()); }

@@ -69,6 +69,10 @@ using Node = FrontierNode;
 struct Leaf {
   LeafSpec spec;
   std::optional<LeafOutcome> settled;
+  /// The enumeration-side ExploreStats fields as they stood once this
+  /// leaf was generated: a sweep stopped at this leaf's delivery reports
+  /// these, not those of a DFS that ran up to a window ahead.
+  ExploreStats enumerated;
 };
 
 /// The isolated crash verdict reads each child's exit status. An
@@ -141,6 +145,7 @@ class Explorer final : public FlipTape, public TraceSink {
     const engine::TrialExecutor executor(
         engine::ExecutorConfig{jobs, 8 * std::size_t{jobs}});
     Stop stop = Stop::kNone;
+    ExploreStats stopped_at;  // Leaf::enumerated of a violation stop
     do {
       stop = Stop::kNone;
       executor.run_ordered<Leaf, LeafOutcome>(
@@ -149,6 +154,7 @@ class Explorer final : public FlipTape, public TraceSink {
             if (pending_backtrack && !backtrack()) return std::nullopt;
             pending_backtrack = true;
             Leaf leaf = execute_once();
+            leaf.enumerated = enumeration_stats();
             if ((limits_.max_executions != 0 &&
                  enumerated_ >= limits_.max_executions) ||
                 (limits_.max_states != 0 &&
@@ -169,9 +175,11 @@ class Explorer final : public FlipTape, public TraceSink {
             deliver(leaf.spec, out);
             if (violations_.size() < limits_.max_violations) return true;
             // Stop after a deterministic prefix. With cut leaves the DFS
-            // may have run up to a window ahead; the digest and the
-            // violation list have not.
+            // may have run up to a window ahead; the digest, the
+            // violation list and, restored below, the enumeration-side
+            // counters have not.
             stop = Stop::kViolations;
+            stopped_at = leaf.enumerated;
             return false;
           });
       if (stop == Stop::kCheckpoint) save_checkpoint(/*complete=*/false);
@@ -181,7 +189,8 @@ class Explorer final : public FlipTape, public TraceSink {
     // delivered prefix, so no checkpoint can be taken from it.
     const bool checkpoint_safe = !(cut_leaves_ && stop == Stop::kViolations);
 
-    finalize_stats();
+    finalize_stats(stop == Stop::kViolations ? stopped_at
+                                             : enumeration_stats());
     if (!frontier_.checkpoint_path.empty() && checkpoint_safe) {
       save_checkpoint(stats_.complete);
     }
@@ -823,21 +832,41 @@ class Explorer final : public FlipTape, public TraceSink {
     seen_.restore(f.cache);
   }
 
-  void finalize_stats() {
+  /// stats_ with the cache's counters folded in. finalize_stats() takes
+  /// only its enumeration-side counters, those the DFS advances rather
+  /// than the deliveries.
+  ExploreStats enumeration_stats() const {
+    ExploreStats e = stats_;
+    e.cache_entries = seen_.entries();
+    e.peak_cache_bytes = std::max(base_peak_bytes_, seen_.peak_bytes());
+    e.cache_evictions = base_evictions_ + seen_.evictions();
+    return e;
+  }
+
+  /// Stamps the wall time and the enumeration-side counters `e` (see
+  /// enumeration_stats) into stats_.
+  void finalize_stats(const ExploreStats& e) {
     stats_.seconds =
         base_seconds_ +
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
             .count();
-    stats_.cache_entries = seen_.entries();
-    stats_.peak_cache_bytes = std::max(base_peak_bytes_, seen_.peak_bytes());
-    stats_.cache_evictions = base_evictions_ + seen_.evictions();
+    stats_.states_visited = e.states_visited;
+    stats_.states_merged = e.states_merged;
+    stats_.sleep_pruned = e.sleep_pruned;
+    stats_.sleep_blocked = e.sleep_blocked;
+    stats_.coin_branches = e.coin_branches;
+    stats_.stale_branches = e.stale_branches;
+    stats_.max_trail_depth = e.max_trail_depth;
+    stats_.cache_entries = e.cache_entries;
+    stats_.peak_cache_bytes = e.peak_cache_bytes;
+    stats_.cache_evictions = e.cache_evictions;
   }
 
   void save_checkpoint(bool complete) {
     Frontier f;
     f.fingerprint = config_fp_;
     f.complete = complete;
-    finalize_stats();
+    finalize_stats(enumeration_stats());
     f.stats = stats_;
     f.stats.complete = complete;
     f.trail = trail_;

@@ -8,8 +8,9 @@
 // watchdog, so a livelocked run aborts that *run* (Reason::kDeadline),
 // never the campaign.
 //
-// Every run executes under a RecordingAdversary, so a failure is captured
-// as a concrete (schedule, crash events) trace the shrinker
+// The simulator records every run (SimRuntime::set_record, installed by
+// engine::run_trial), so a failure is captured as a concrete (schedule,
+// crash events, stale-read choices) trace the shrinker
 // (fault/shrink.hpp) can delta-debug into a minimal ScriptedAdversary
 // script and the repro layer (fault/repro.hpp) can persist.
 //

@@ -1,69 +1,37 @@
 #include "runtime/adversary.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <vector>
-
-#include "util/assert.hpp"
 
 namespace bprc {
 
 namespace {
 
 // The pick() implementations below run once per simulated step — the
-// hottest loop in the repository. After an adversary's first pick they
-// allocate nothing: counting the candidates, drawing below(count), then
-// taking the k-th candidate makes the same rng draws and returns the same
-// process as the historical "collect ids into a vector, index it" code
-// (candidates are always enumerated in id order). Recorded schedules are
-// bit-identical.
+// hottest loop in the repository. A strategy's candidates (the runnable
+// set, the laggards, the preferred walk steps) depend only on view fields
+// the simulator's view epoch covers, which change far less often than
+// steps are taken; each strategy keeps them in a CandidateCache and
+// re-derives them only when the epoch moved (per pick when the controller
+// publishes none). A pick is then one draw indexing a list gathered in
+// id order: the same draws and the same processes as the historical
+// "collect ids into a vector, index it" code, so recorded schedules are
+// bit-identical. After the first derivation nothing allocates.
 
-/// Number of runnable processes.
-int runnable_count(const SimCtl& ctl) {
-  if (const std::uint64_t* mask = ctl.runnable_mask()) {
-    return std::popcount(*mask);
-  }
-  const int n = ctl.nprocs();
+/// Gathers the runnable processes into `ids` in id order; returns how many.
+int collect_runnable(const SimCtl& ctl, int n, ProcId* ids) {
   int count = 0;
   for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable) ++count;
+    if (ctl.view(p).runnable) ids[count++] = p;
   }
   return count;
 }
 
-/// The k-th runnable process in id order; k must be < runnable_count().
-ProcId nth_runnable(const SimCtl& ctl, std::uint64_t k) {
-  if (const std::uint64_t* mask = ctl.runnable_mask()) {
-    // k-th lowest set bit = k-th runnable in id order, same as the scan.
-    std::uint64_t m = *mask;
-    while (k-- > 0) m &= m - 1;  // clear the k lowest set bits
-    BPRC_REQUIRE(m != 0, "runnable rank out of range");
-    return static_cast<ProcId>(std::countr_zero(m));
-  }
-  const int n = ctl.nprocs();
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).runnable && k-- == 0) return p;
-  }
-  BPRC_REQUIRE(false, "runnable rank out of range");
-  __builtin_unreachable();
-}
-
-/// The candidate buffer of a pick over `lists` filtered candidate sets of
-/// an n-process simulation: list i is gathered, in id order, into slots
-/// [i*n, (i+1)*n). The buffer is a member of the adversary, sized on its
-/// first pick and reused by every later one.
-ProcId* candidate_lists(std::vector<ProcId>& buf, int n, int lists) {
-  const auto need = static_cast<std::size_t>(n) * static_cast<std::size_t>(lists);
-  if (buf.size() < need) buf.resize(need);
-  return buf.data();
-}
-
-/// Uniform pick over the runnable set; -1 (no draw) when it is empty.
-ProcId pick_uniform_runnable(const SimCtl& ctl, Rng& rng) {
-  const int count = runnable_count(ctl);
+/// Uniform pick over `count` candidates with one draw; -1 (no draw) when
+/// there are none.
+ProcId draw(const ProcId* ids, int count, Rng& rng) {
   if (count == 0) return -1;
-  return nth_runnable(ctl, rng.below(static_cast<std::uint64_t>(count)));
+  return ids[rng.below(static_cast<std::uint64_t>(count))];
 }
 
 }  // namespace
@@ -78,7 +46,10 @@ ProcId pick_uniform_runnable(const SimCtl& ctl, Rng& rng) {
 // the canonical weak-register attack.
 
 ProcId RandomAdversary::pick(SimCtl& ctl) {
-  return pick_uniform_runnable(ctl, rng_);
+  if (ProcId* ids = cache_.stale(ctl, 1)) {
+    runnable_ = collect_runnable(ctl, cache_.nprocs(), ids);
+  }
+  return draw(cache_.list(0), runnable_, rng_);
 }
 
 int RandomAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -129,23 +100,23 @@ int LockstepAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId LeaderSuppressAdversary::pick(SimCtl& ctl) {
-  // One pass: gather the runnable processes at the lowest round seen so
-  // far, restarting whenever a lower round shows up.
-  const int n = ctl.nprocs();
-  ProcId* ids = candidate_lists(ids_, n, 1);
-  int laggards = 0;
-  std::int32_t min_round = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    const SimCtl::ProcView& v = ctl.view(p);
-    if (!v.runnable) continue;
-    if (laggards == 0 || v.hint.round < min_round) {
-      min_round = v.hint.round;
-      laggards = 0;
+  if (ProcId* ids = cache_.stale(ctl, 1)) {
+    // One pass: gather the runnable processes at the lowest round seen so
+    // far, restarting whenever a lower round shows up.
+    const int n = cache_.nprocs();
+    laggards_ = 0;
+    std::int32_t min_round = 0;
+    for (ProcId p = 0; p < n; ++p) {
+      const SimCtl::ProcView& v = ctl.view(p);
+      if (!v.runnable) continue;
+      if (laggards_ == 0 || v.hint.round < min_round) {
+        min_round = v.hint.round;
+        laggards_ = 0;
+      }
+      if (v.hint.round == min_round) ids[laggards_++] = p;
     }
-    if (v.hint.round == min_round) ids[laggards++] = p;
   }
-  if (laggards == 0) return -1;
-  return ids[rng_.below(static_cast<std::uint64_t>(laggards))];
+  return draw(cache_.list(0), laggards_, rng_);
 }
 
 int LeaderSuppressAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -155,29 +126,29 @@ int LeaderSuppressAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId CoinBiasAdversary::pick(SimCtl& ctl) {
-  // One pass: the adversary's view of the walk (the sum of the counters
-  // the processes have published — it has seen every local flip already
-  // performed), and the runnable processes bucketed by the sign of their
-  // pending walk step (0: down, 1: no step, 2: up).
-  const int n = ctl.nprocs();
-  ProcId* ids = candidate_lists(ids_, n, 3);
-  std::array<int, 3> counts{};
-  std::int64_t walk = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    const SimCtl::ProcView& v = ctl.view(p);
-    walk += v.hint.counter;
-    if (!v.runnable) continue;
-    const int delta = v.hint.walk_delta;
-    const int b = (delta > 0) - (delta < 0) + 1;
-    ids[b * n + counts[b]++] = p;
+  if (ProcId* ids = cache_.stale(ctl, 2)) {
+    // The adversary's view of the walk: the sum of the counters the
+    // processes have published (it has seen every local flip already
+    // performed).
+    const int n = cache_.nprocs();
+    std::int64_t walk = 0;
+    for (ProcId p = 0; p < n; ++p) walk += ctl.view(p).hint.counter;
+    // Prefer a process whose pending counter write pulls the walk toward
+    // 0; when the walk sits at 0, stall progress by preferring non-walk
+    // steps.
+    const int want = walk > 0 ? -1 : walk < 0 ? 1 : 0;
+    runnable_ = 0;
+    preferred_ = 0;
+    for (ProcId p = 0; p < n; ++p) {
+      const SimCtl::ProcView& v = ctl.view(p);
+      if (!v.runnable) continue;
+      ids[runnable_++] = p;
+      const int delta = v.hint.walk_delta;
+      if ((delta > 0) - (delta < 0) == want) ids[n + preferred_++] = p;
+    }
   }
-
-  // Prefer a process whose pending counter write pulls the walk toward 0;
-  // when the walk sits at 0, stall progress by preferring non-walk steps.
-  const int want = walk > 0 ? 0 : walk < 0 ? 2 : 1;
-  if (counts[want] == 0) return pick_uniform_runnable(ctl, rng_);
-  return ids[want * n + static_cast<int>(rng_.below(
-                            static_cast<std::uint64_t>(counts[want])))];
+  if (preferred_ == 0) return draw(cache_.list(0), runnable_, rng_);
+  return draw(cache_.list(1), preferred_, rng_);
 }
 
 int CoinBiasAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -209,67 +180,34 @@ ProcId CrashPlanAdversary::pick(SimCtl& ctl) {
   return inner_->pick(ctl);
 }
 
-namespace {
-
-/// SimCtl interposer used by RecordingAdversary: forwards everything and
-/// logs effective crash() calls with the step counter at injection time.
-class CrashTap final : public SimCtl {
- public:
-  CrashTap(SimCtl& base, std::vector<CrashPlanAdversary::Crash>& log)
-      : base_(base), log_(log) {
-    // Pass the simulator's contiguous views and runnable digest through
-    // the tap so the inner strategy's scans stay allocation-free.
-    adopt_fast_state(base);
-  }
-
-  int nprocs() const override { return base_.nprocs(); }
-  const ProcView& proc(ProcId p) const override { return base_.proc(p); }
-  std::uint64_t step() const override { return base_.step(); }
-  void crash(ProcId p) override {
-    const ProcView& view = base_.proc(p);
-    if (!view.crashed && !view.finished) log_.push_back({base_.step(), p});
-    base_.crash(p);
-  }
-
- private:
-  SimCtl& base_;
-  std::vector<CrashPlanAdversary::Crash>& log_;
-};
-
-}  // namespace
-
-ProcId RecordingAdversary::pick(SimCtl& ctl) {
-  CrashTap tap(ctl, crashes_);
-  const ProcId p = inner_->pick(tap);
-  if (p >= 0) script_.push_back(p);
-  return p;
-}
-
-int RecordingAdversary::resolve_read(SimCtl& ctl, const StaleRead& sr) {
-  const int choice = inner_->resolve_read(ctl, sr);
-  stales_.push_back(choice);
-  return choice;
-}
-
 ProcId CrashStormAdversary::pick(SimCtl& ctl) {
-  const int n = ctl.nprocs();
-  const int limit = max_crashes_ < 0 ? n - 1 : std::min(max_crashes_, n - 1);
   // Count every crashed process, not just our own victims: composed with a
   // CrashPlanAdversary, the combined kill count must stay within the
   // paper's n-1 wait-freedom bound.
-  int crashed_total = 0;
-  for (ProcId p = 0; p < n; ++p) {
-    if (ctl.view(p).crashed) ++crashed_total;
-  }
-
-  if (crashed_total < limit && rng_.bernoulli(crash_prob_)) {
-    // Sensitivity score of a candidate victim, from the information the
-    // strong adversary legitimately holds (Hint + pending OpDesc).
-    std::int32_t max_round = 0;
-    for (ProcId p = 0; p < n; ++p) {
-      if (ctl.view(p).runnable) {
-        max_round = std::max(max_round, ctl.view(p).hint.round);
+  const auto derive = [&] {
+    if (ProcId* ids = cache_.stale(ctl, 1)) {
+      const int n = cache_.nprocs();
+      runnable_ = 0;
+      crashed_ = 0;
+      for (ProcId p = 0; p < n; ++p) {
+        const SimCtl::ProcView& v = ctl.view(p);
+        if (v.crashed) ++crashed_;
+        if (v.runnable) ids[runnable_++] = p;
       }
+    }
+  };
+  derive();
+  const int n = cache_.nprocs();
+  const int limit = max_crashes_ < 0 ? n - 1 : std::min(max_crashes_, n - 1);
+
+  if (crashed_ < limit && rng_.bernoulli(crash_prob_)) {
+    const ProcId* runnable = cache_.list(0);
+    // Sensitivity score of a candidate victim, from the information the
+    // strong adversary legitimately holds (Hint + pending OpDesc). The
+    // pending op moves at every step, so scores are computed per use.
+    std::int32_t max_round = 0;
+    for (int i = 0; i < runnable_; ++i) {
+      max_round = std::max(max_round, ctl.view(runnable[i]).hint.round);
     }
     auto score = [&](ProcId p) {
       const SimCtl::ProcView& v = ctl.view(p);
@@ -291,9 +229,8 @@ ProcId CrashStormAdversary::pick(SimCtl& ctl) {
     // find the best score and its multiplicity, draw, scan to the winner.
     int best = 1;
     int victims = 0;
-    for (ProcId p = 0; p < n; ++p) {
-      if (!ctl.view(p).runnable) continue;
-      const int s = score(p);
+    for (int i = 0; i < runnable_; ++i) {
+      const int s = score(runnable[i]);
       if (s < best) continue;
       if (s > best) victims = 0;
       best = s;
@@ -301,15 +238,15 @@ ProcId CrashStormAdversary::pick(SimCtl& ctl) {
     }
     if (victims > 0) {
       std::uint64_t k = rng_.below(static_cast<std::uint64_t>(victims));
-      for (ProcId p = 0; p < n; ++p) {
-        if (ctl.view(p).runnable && score(p) == best && k-- == 0) {
-          ctl.crash(p);
-          break;
-        }
+      ProcId victim = -1;
+      for (int i = 0; victim < 0; ++i) {
+        if (score(runnable[i]) == best && k-- == 0) victim = runnable[i];
       }
+      ctl.crash(victim);
+      derive();  // the crash moved the epoch
     }
   }
-  return pick_uniform_runnable(ctl, rng_);
+  return draw(cache_.list(0), runnable_, rng_);
 }
 
 int CrashStormAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
@@ -317,34 +254,32 @@ int CrashStormAdversary::resolve_read(SimCtl&, const StaleRead& sr) {
 }
 
 ProcId SplitBrainAdversary::pick(SimCtl& ctl) {
-  // One pass: the runnable processes in id order. Group 0 is ids below
-  // `half`, so its members come first and group 1's follow them.
-  const int n = ctl.nprocs();
-  const int half = std::max(1, n / 2);
-  ProcId* ids = candidate_lists(ids_, n, 1);
-  std::array<int, 2> counts{};
-  for (ProcId p = 0; p < n; ++p) {
-    if (!ctl.view(p).runnable) continue;
-    ids[counts[0] + counts[1]] = p;
-    ++counts[p < half ? 0 : 1];
+  if (ProcId* ids = cache_.stale(ctl, 1)) {
+    // The runnable processes in id order. Group 0 is ids below `half`, so
+    // its members come first and group 1's follow them.
+    const int n = cache_.nprocs();
+    const int runnable = collect_runnable(ctl, n, ids);
+    counts_[0] = static_cast<int>(
+        std::lower_bound(ids, ids + runnable, std::max(1, n / 2)) - ids);
+    counts_[1] = runnable - counts_[0];
   }
 
-  if (remaining_ == 0 || counts[group_] == 0) {
+  const ProcId* ids = cache_.list(0);
+  if (remaining_ == 0 || counts_[group_] == 0) {
     group_ = 1 - group_;
     // Burst length in [mean/2, 2*mean): long enough that a burst spans
     // many protocol rounds of the solo group.
     remaining_ = mean_burst_ / 2 +
                  rng_.below(mean_burst_ + std::max<std::uint64_t>(mean_burst_ / 2, 1));
-    if (counts[group_] == 0) {
+    if (counts_[group_] == 0) {
       // Other group is dead too — fall back to whoever is left.
       if (remaining_ > 0) --remaining_;
-      return pick_uniform_runnable(ctl, rng_);
+      return draw(ids, counts_[0] + counts_[1], rng_);
     }
   }
   if (remaining_ > 0) --remaining_;
-  const int first = group_ == 0 ? 0 : counts[0];
-  return ids[first + static_cast<int>(rng_.below(
-                         static_cast<std::uint64_t>(counts[group_])))];
+  const int first = group_ == 0 ? 0 : counts_[0];
+  return draw(ids + first, counts_[group_], rng_);
 }
 
 int SplitBrainAdversary::resolve_read(SimCtl& ctl, const StaleRead& sr) {

@@ -8,6 +8,7 @@
 // succumb to).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,9 +21,12 @@ namespace bprc {
 
 /// Width of the O(1) runnable-set digest (SimCtl::runnable_mask): one bit
 /// per process id. Simulations wider than this fall back to scanning the
-/// view array; replay/exploration tooling that depends on the digest being
-/// authoritative validates recorded configurations against this bound.
+/// view array; replay/exploration tooling that depends on the digest
+/// being authoritative validates recorded configurations against this
+/// bound.
 inline constexpr int kRunnableMaskBits = 64;
+
+struct ScheduleRecord;
 
 /// Read/control surface the simulator exposes to its adversary.
 class SimCtl {
@@ -56,23 +60,64 @@ class SimCtl {
   /// then fall back to scanning view(p).runnable, which reads identically.
   const std::uint64_t* runnable_mask() const { return fast_mask_; }
 
+  /// View epoch when the implementation maintains one: a counter that
+  /// advances on every change to `runnable`, `crashed`, `finished` or
+  /// `hint` of any view, so candidates a strategy derived from those
+  /// fields stay valid while it stands still (`pending` and `steps`
+  /// change at every step and are not covered). SimRuntime publishes one
+  /// at every n; null for controllers without one (test doubles), and
+  /// strategies then re-derive per pick.
+  const std::uint64_t* view_epoch() const { return fast_epoch_; }
+
+  /// Makes the implementation append every pick, effective crash and
+  /// stale-read choice of the run to `*record` (null stops recording).
+  /// SimRuntime records; a controller without a recorder (test doubles)
+  /// ignores it.
+  void set_record(ScheduleRecord* record) { record_ = record; }
+
   /// Permanently stops scheduling p (a crash failure). Wait-free protocols
   /// tolerate up to nprocs()-1 of these.
   virtual void crash(ProcId p) = 0;
 
  protected:
-  /// Lets a SimCtl decorator (RecordingAdversary's crash tap) inherit the
-  /// decorated controller's fast view array and runnable digest.
-  void adopt_fast_state(const SimCtl& ctl) {
-    fast_views_ = ctl.fast_views_;
-    fast_mask_ = ctl.fast_mask_;
-  }
-
   /// Implementations with contiguous per-process views point these at the
   /// live state (and keep them current across reallocation); others leave
   /// them null.
   const ProcView* fast_views_ = nullptr;
   const std::uint64_t* fast_mask_ = nullptr;
+  const std::uint64_t* fast_epoch_ = nullptr;
+  ScheduleRecord* record_ = nullptr;  ///< not owned; see set_record
+};
+
+/// Candidate lists a strategy derives from a controller's views, kept
+/// while the controller's view epoch stands still (SimCtl::view_epoch).
+/// List i of an n-process simulation starts at list(i) and holds its
+/// candidates in id order. Without an epoch every pick re-derives them.
+class CandidateCache {
+ public:
+  /// The buffer to derive `lists` lists into when the views moved since
+  /// the last derivation or the controller publishes no epoch; null while
+  /// the lists derived last time are current. A crash() moves the epoch,
+  /// so a strategy that crashes mid-pick asks again before drawing.
+  ProcId* stale(const SimCtl& ctl, int lists) {
+    const std::uint64_t* epoch = ctl.view_epoch();
+    if (epoch != nullptr && *epoch == epoch_) return nullptr;
+    epoch_ = epoch != nullptr ? *epoch : kNever;
+    n_ = ctl.nprocs();
+    const auto need =
+        static_cast<std::size_t>(n_) * static_cast<std::size_t>(lists);
+    if (ids_.size() < need) ids_.resize(need);
+    return ids_.data();
+  }
+
+  const ProcId* list(int i) const { return ids_.data() + i * n_; }
+  int nprocs() const { return n_; }
+
+ private:
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  std::uint64_t epoch_ = kNever;
+  int n_ = 0;
+  std::vector<ProcId> ids_;
 };
 
 /// Strategy interface. pick() must return a currently runnable process, or
@@ -106,6 +151,8 @@ class RandomAdversary final : public Adversary {
 
  private:
   Rng rng_;
+  CandidateCache cache_;  ///< list 0: the runnable processes
+  int runnable_ = 0;
 };
 
 /// Fixed rotation over runnable processes.
@@ -149,7 +196,8 @@ class LeaderSuppressAdversary final : public Adversary {
 
  private:
   Rng rng_;
-  std::vector<ProcId> ids_;  ///< pick candidates, reused across picks
+  CandidateCache cache_;  ///< list 0: runnable processes at the min round
+  int laggards_ = 0;
 };
 
 /// Adaptive: attacks the shared coin. Among runnable processes it prefers
@@ -166,7 +214,11 @@ class CoinBiasAdversary final : public Adversary {
 
  private:
   Rng rng_;
-  std::vector<ProcId> ids_;  ///< pick candidates, reused across picks
+  /// List 0: the runnable processes; list 1: those whose pending walk
+  /// step the adversary prefers.
+  CandidateCache cache_;
+  int runnable_ = 0;
+  int preferred_ = 0;
 };
 
 /// Replays a fixed schedule (one ProcId per step), then falls back to
@@ -227,41 +279,59 @@ class CrashPlanAdversary final : public Adversary {
   std::size_t next_ = 0;
 };
 
-/// Decorator: records the inner strategy's pick sequence AND its crash
-/// injections (it interposes on the SimCtl handed to the inner strategy).
-/// A recorded run replays exactly as
+/// What a simulated run's adversary decided, as SimRuntime records it
+/// (SimCtl::set_record). A recorded run replays exactly as
 ///
-///   CrashPlanAdversary(ScriptedAdversary(script()), crashes())
+///   CrashPlanAdversary(ScriptedAdversary(picks), crashes)
 ///
-/// under the same seed — the debugging loop for failures found by
+/// with ScriptedAdversary::set_stale_script(stales), under the same
+/// seed — the debugging loop for failures found by
 /// randomized testing: reproduce via the seed, record, then replay/shrink
 /// the schedule (src/fault/ automates the shrinking).
+struct ScheduleRecord {
+  std::vector<ProcId> picks;  ///< every pick of a process, in order
+  /// Effective crashes (of processes neither finished nor crashed), with
+  /// the step counter at injection, in chronological order.
+  std::vector<CrashPlanAdversary::Crash> crashes;
+  std::vector<int> stales;  ///< stale-read choices, in resolution order
+};
+
+/// Decorator that records a run of the inner strategy: on every pick it
+/// points the simulator's record (SimCtl::set_record) at its own, so the
+/// simulator appends the picks, the crashes the inner strategy (or a
+/// crash plan inside it) injects, and the stale-read choices. It must be
+/// the simulator's own adversary, not nested in another decorator, and
+/// records nothing under a controller without a recorder (test doubles).
+/// engine::run_trial installs a record directly instead.
 class RecordingAdversary final : public Adversary {
  public:
   explicit RecordingAdversary(std::unique_ptr<Adversary> inner)
       : inner_(std::move(inner)) {}
-  ProcId pick(SimCtl& ctl) override;
+  ProcId pick(SimCtl& ctl) override {
+    ctl.set_record(&record_);
+    return inner_->pick(ctl);
+  }
   std::string name() const override { return inner_->name() + "+rec"; }
-  int resolve_read(SimCtl& ctl, const StaleRead& sr) override;
-
-  /// The schedule so far; pass to ScriptedAdversary to replay.
-  const std::vector<ProcId>& script() const { return script_; }
-
-  /// Crashes the inner strategy performed, in chronological order; pass
-  /// to CrashPlanAdversary to replay.
-  const std::vector<CrashPlanAdversary::Crash>& crashes() const {
-    return crashes_;
+  int resolve_read(SimCtl& ctl, const StaleRead& sr) override {
+    return inner_->resolve_read(ctl, sr);
   }
 
-  /// Stale-read choices the inner strategy made, in resolution order;
-  /// pass to ScriptedAdversary::set_stale_script to replay.
-  const std::vector<int>& stales() const { return stales_; }
+  /// The schedule so far; pass to ScriptedAdversary to replay.
+  const std::vector<ProcId>& script() const { return record_.picks; }
+
+  /// Crashes performed, in chronological order; pass to
+  /// CrashPlanAdversary to replay.
+  const std::vector<CrashPlanAdversary::Crash>& crashes() const {
+    return record_.crashes;
+  }
+
+  /// Stale-read choices, in resolution order; pass to
+  /// ScriptedAdversary::set_stale_script to replay.
+  const std::vector<int>& stales() const { return record_.stales; }
 
  private:
   std::unique_ptr<Adversary> inner_;
-  std::vector<ProcId> script_;
-  std::vector<CrashPlanAdversary::Crash> crashes_;
-  std::vector<int> stales_;
+  ScheduleRecord record_;
 };
 
 /// Adaptive crash injector: kills up to `max_crashes` processes (default
@@ -283,6 +353,9 @@ class CrashStormAdversary final : public Adversary {
   Rng rng_;
   int max_crashes_;  ///< -1 = nprocs()-1
   double crash_prob_;
+  CandidateCache cache_;  ///< list 0: the runnable processes
+  int runnable_ = 0;
+  int crashed_ = 0;  ///< crashed processes, whoever crashed them
 };
 
 /// Alternates long solo bursts between two halves of the process set (ids
@@ -304,7 +377,9 @@ class SplitBrainAdversary final : public Adversary {
   std::uint64_t mean_burst_;
   int group_ = 0;              ///< group currently being run solo
   std::uint64_t remaining_ = 0; ///< picks left in the current burst
-  std::vector<ProcId> ids_;     ///< pick candidates, reused across picks
+  /// List 0: the runnable processes, group 0's (ids below n/2) first.
+  CandidateCache cache_;
+  std::array<int, 2> counts_{};  ///< runnable members of each group
 };
 
 /// All adversaries used by the integration test matrix, freshly seeded.

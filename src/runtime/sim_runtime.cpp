@@ -29,6 +29,8 @@ void SimRuntime::init(int nprocs, std::unique_ptr<Adversary> adversary,
   fast_mask_ =
       count <= static_cast<std::size_t>(kRunnableMaskBits) ? &runnable_mask_
                                                            : nullptr;
+  fast_epoch_ = &view_epoch_;
+  ++view_epoch_;  // the views were rebuilt
   if (states_.size() == count) {
     for (ProcState& st : states_) {
       st.fiber.reset();  // stack returns to the FiberStackPool
@@ -45,6 +47,7 @@ void SimRuntime::init(int nprocs, std::unique_ptr<Adversary> adversary,
   }
 
   trace_sink_ = nullptr;
+  record_ = nullptr;
   semantics_ = RegisterSemantics::kAtomic;
   current_ = -1;
   total_steps_ = 0;
@@ -119,7 +122,7 @@ void SimRuntime::checkpoint(const OpDesc& op) {
   // tails, 1/k under uniform-random over k runnable) control never leaves
   // this stack: no fiber switch, no heap, nothing beyond the pick() call.
   if (in_run_ && total_steps_ < max_steps_ && !watchdog_expired()) {
-    const ProcId p = adversary_->pick(*this);
+    const ProcId p = consult();
     if (p == current_) {
       // crash(current_) inside pick() would have set me.stop; a self-pick
       // therefore implies the process is still runnable.
@@ -161,12 +164,14 @@ Rng& SimRuntime::rng() {
 
 void SimRuntime::publish_hint(const Hint& hint) {
   views_[checked(current_)].hint = hint;
+  ++view_epoch_;
 }
 
 void SimRuntime::crash(ProcId p) {
   const std::size_t ix = checked(p);
   SimCtl::ProcView& view = views_[ix];
   if (view.finished || view.crashed) return;
+  if (record_ != nullptr) record_->crashes.push_back({total_steps_, p});
   view.crashed = true;
   view.runnable = false;
   mask_clear(ix);
@@ -224,7 +229,7 @@ RunResult SimRuntime::run(std::uint64_t max_steps,
         result.reason = RunResult::Reason::kDeadline;
         break;
       }
-      p = adversary_->pick(*this);
+      p = consult();
     }
     if (p < 0) {
       result.reason = RunResult::Reason::kNoRunnable;

@@ -52,6 +52,13 @@ class SimRuntime final : public Runtime, private SimCtl {
   /// sink pointer at construction.
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
 
+  /// Appends every pick, effective crash and stale-read choice of the run
+  /// to `*record` (see ScheduleRecord), or stops recording with null. Not
+  /// owned; cleared by reset(). This is the one place runs are recorded:
+  /// engine::run_trial installs a record here, RecordingAdversary points
+  /// it at its own through SimCtl.
+  using SimCtl::set_record;
+
   /// Selects the register semantics the simulation runs under (see
   /// RegisterSemantics). Like set_trace_sink, must be called *before* the
   /// shared objects are constructed — registers cache the value — and is
@@ -80,6 +87,10 @@ class SimRuntime final : public Runtime, private SimCtl {
   RunResult run(std::uint64_t max_steps,
                 std::chrono::nanoseconds deadline = std::chrono::nanoseconds::zero());
 
+  /// SimCtl::view_epoch: advances on every spawn, hint publication,
+  /// crash, body finish and end-of-run unwind. Published at every n.
+  using SimCtl::view_epoch;
+
   bool crashed(ProcId p) const { return views_[checked(p)].crashed; }
   bool finished(ProcId p) const { return views_[checked(p)].finished; }
   const Hint& hint(ProcId p) const { return views_[checked(p)].hint; }
@@ -99,7 +110,9 @@ class SimRuntime final : public Runtime, private SimCtl {
   TraceSink* trace_sink() const override { return trace_sink_; }
   RegisterSemantics register_semantics() const override { return semantics_; }
   int resolve_stale_read(const StaleRead& sr) override {
-    return adversary_->resolve_read(*this, sr);
+    const int choice = adversary_->resolve_read(*this, sr);
+    if (record_ != nullptr) record_->stales.push_back(choice);
+    return choice;
   }
 
  private:
@@ -126,15 +139,26 @@ class SimRuntime final : public Runtime, private SimCtl {
 
   std::size_t checked(ProcId p) const;
   bool any_runnable() const;
+  /// The adversary's next pick, appended to the record when one is
+  /// installed.
+  ProcId consult() {
+    const ProcId p = adversary_->pick(*this);
+    if (record_ != nullptr && p >= 0) record_->picks.push_back(p);
+    return p;
+  }
   /// Keep the O(1) runnable digest (SimCtl::runnable_mask) in sync with
   /// views_[ix].runnable. Digest bits exist only for ids <
   /// kRunnableMaskBits; beyond that fast_mask_ stays null and everything
-  /// scans views_ instead.
+  /// scans views_ instead. Every runnable/crashed/finished change goes
+  /// through one of these, so they also advance the view epoch
+  /// (SimCtl::view_epoch), as publish_hint does for hints.
   void mask_set(std::size_t ix) {
     if (ix < kRunnableMaskBits) runnable_mask_ |= std::uint64_t{1} << ix;
+    ++view_epoch_;
   }
   void mask_clear(std::size_t ix) {
     if (ix < kRunnableMaskBits) runnable_mask_ &= ~(std::uint64_t{1} << ix);
+    ++view_epoch_;
   }
   /// True when the wall-clock watchdog is armed, due for a check at the
   /// current step count, and expired.
@@ -150,6 +174,9 @@ class SimRuntime final : public Runtime, private SimCtl {
   TraceSink* trace_sink_ = nullptr;      ///< not owned; cleared by reset()
   RegisterSemantics semantics_ = RegisterSemantics::kAtomic;
   std::uint64_t runnable_mask_ = 0;      ///< bit p = views_[p].runnable
+  /// SimCtl::view_epoch. Never reset, so candidates cached against one
+  /// run cannot match a later run of a reset() runtime.
+  std::uint64_t view_epoch_ = 0;
   std::unique_ptr<Adversary> adversary_;
   ProcId current_ = -1;
   std::uint64_t total_steps_ = 0;

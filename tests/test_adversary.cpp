@@ -219,24 +219,63 @@ TEST(Recording, ReplayReproducesTheSchedule) {
   EXPECT_EQ(trace1, trace2);
 }
 
-/// A SimCtl over hand-set views, with no fast view array or runnable mask,
-/// so the adversaries take the same path they take above 64 processes.
+/// A SimCtl over hand-set views. Like SimRuntime, it publishes a fast
+/// view array and a runnable mask up to kRunnableMaskBits processes and,
+/// unless built with `epoch` false, a view epoch at every size, so the
+/// strategies take their cached path; without an epoch they re-derive per
+/// pick. Call changed() after editing `views`. crash() fails the test
+/// unless `allow_crash` is set.
 class FakeCtl final : public SimCtl {
  public:
-  explicit FakeCtl(int n) : views(static_cast<std::size_t>(n)) {}
+  explicit FakeCtl(int n, bool epoch = true)
+      : views(static_cast<std::size_t>(n)) {
+    if (n <= kRunnableMaskBits) {
+      fast_views_ = views.data();
+      fast_mask_ = &mask_;
+    }
+    if (epoch) fast_epoch_ = &epoch_;
+  }
   int nprocs() const override { return static_cast<int>(views.size()); }
   const ProcView& proc(ProcId p) const override {
     return views[static_cast<std::size_t>(p)];
   }
   std::uint64_t step() const override { return 0; }
-  void crash(ProcId) override { ADD_FAILURE() << "unexpected crash"; }
+  /// SimRuntime's crash(): finished and crashed victims are ignored.
+  void crash(ProcId p) override {
+    if (!allow_crash) {
+      ADD_FAILURE() << "unexpected crash of process " << p;
+      return;
+    }
+    ProcView& v = views[static_cast<std::size_t>(p)];
+    if (v.finished || v.crashed) return;
+    v.crashed = true;
+    v.runnable = false;
+    last_crash = p;
+    changed();
+  }
+
+  /// Re-derives the runnable mask and advances the epoch.
+  void changed() {
+    mask_ = 0;
+    for (std::size_t p = 0; p < views.size() && p < 64; ++p) {
+      if (views[p].runnable) mask_ |= std::uint64_t{1} << p;
+    }
+    ++epoch_;
+  }
 
   std::vector<ProcView> views;
+  bool allow_crash = false;
+  ProcId last_crash = -1;
+
+ private:
+  std::uint64_t mask_ = 0;
+  std::uint64_t epoch_ = 0;
 };
 
-/// Fills the views with random runnable flags, rounds and walk hints. The
-/// runnable density varies per call, so some calls leave no process, or
-/// one whole half of the processes, runnable.
+/// Fills the views with random runnable/crashed flags, rounds, walk and
+/// preference hints and pending ops. The runnable density varies per
+/// call, so some calls leave no process, or one whole half of the
+/// processes, runnable.
 void randomize(FakeCtl& ctl, Rng& rng) {
   const int n = ctl.nprocs();
   const std::uint64_t density = rng.below(5);  // runnable w.p. density/4
@@ -246,10 +285,16 @@ void randomize(FakeCtl& ctl, Rng& rng) {
     const int half = p < std::max(1, n / 2) ? 0 : 1;
     v.runnable = rng.below(4) < density &&
                  !(dead_half < 2 && static_cast<int>(dead_half) == half);
+    v.crashed = !v.runnable && rng.below(4) == 0;
+    v.finished = !v.runnable && !v.crashed;
     v.hint.round = static_cast<std::int32_t>(rng.below(3));
     v.hint.walk_delta = static_cast<std::int8_t>(rng.below(3)) - 1;
     v.hint.counter = static_cast<std::int64_t>(rng.below(5)) - 2;
+    v.hint.pref = static_cast<std::int8_t>(rng.below(4)) - 1;
+    v.hint.decided = rng.below(4) == 0;
+    v.pending.kind = static_cast<OpDesc::Kind>(rng.below(3));
   }
+  ctl.changed();
 }
 
 /// Reference picks: collect the candidates in id order, index with one
@@ -326,25 +371,171 @@ struct RefSplitBrain {
   }
 };
 
+/// Crash-storm's definition: with crash budget left (n-1 in total) and a
+/// successful Bernoulli draw, crash one runnable process drawn uniformly
+/// among those at the highest sensitivity score, if that score is at
+/// least 1; then pick uniformly among the processes still runnable.
+struct RefCrashStorm {
+  ProcId victim = -1;
+  ProcId pick = -1;
+};
+
+RefCrashStorm ref_crash_storm(const FakeCtl& ctl, Rng& rng, double prob) {
+  const int n = ctl.nprocs();
+  int crashed = 0;
+  for (ProcId p = 0; p < n; ++p) crashed += ctl.view(p).crashed ? 1 : 0;
+  std::vector<ProcId> runnable = runnable_ids(ctl);
+  RefCrashStorm out;
+  if (crashed < n - 1 && rng.bernoulli(prob)) {
+    std::int32_t max_round = 0;
+    for (const ProcId p : runnable) {
+      max_round = std::max(max_round, ctl.view(p).hint.round);
+    }
+    std::map<int, std::vector<ProcId>> by_score;  // scores >= 1 only
+    for (const ProcId p : runnable) {
+      const SimCtl::ProcView& v = ctl.view(p);
+      const bool live_pref = v.hint.pref == 0 || v.hint.pref == 1;
+      int score = 0;
+      if (v.pending.kind == OpDesc::Kind::kWrite && v.hint.walk_delta != 0) {
+        score += 2;
+      }
+      if (!v.hint.decided && live_pref && v.hint.round >= max_round) score += 2;
+      if (v.pending.kind == OpDesc::Kind::kRead && live_pref) score += 1;
+      if (score >= 1) by_score[score].push_back(p);
+    }
+    if (!by_score.empty()) {
+      out.victim = ref_index(by_score.rbegin()->second, rng);
+      std::erase(runnable, out.victim);
+    }
+  }
+  out.pick = ref_index(runnable, rng);
+  return out;
+}
+
 TEST(AdaptivePicks, MatchCollectAndIndexReferenceAtEverySize) {
+  // With an epoch the strategies keep their candidates while it stands
+  // still: randomize() moves it in two calls of three, and so does every
+  // crash crash-storm injects. Without one they derive per pick. Above 64
+  // processes there is no fast view array or runnable mask, so the
+  // derivations scan view() instead. Only crash-storm may crash.
   constexpr std::uint64_t kSeed = 41;
   constexpr std::uint64_t kBurst = 6;
-  for (const int n : {1, 2, 5, 64, 65, 70, 130}) {
-    FakeCtl ctl(n);
-    Rng views_rng(static_cast<std::uint64_t>(n));
-    LeaderSuppressAdversary leader(kSeed);
-    CoinBiasAdversary coin(kSeed);
-    SplitBrainAdversary split(kSeed, kBurst);
-    Rng leader_rng(kSeed), coin_rng(kSeed), split_rng(kSeed);
-    RefSplitBrain split_ref{kBurst};
-    for (int i = 0; i < 3000; ++i) {
-      randomize(ctl, views_rng);
-      ASSERT_EQ(leader.pick(ctl), ref_leader_suppress(ctl, leader_rng))
-          << "leader-suppress n=" << n << " pick " << i;
-      ASSERT_EQ(coin.pick(ctl), ref_coin_bias(ctl, coin_rng))
-          << "coin-bias n=" << n << " pick " << i;
-      ASSERT_EQ(split.pick(ctl), split_ref.pick(ctl, split_rng))
-          << "split-brain n=" << n << " pick " << i;
+  constexpr double kCrashProb = 0.3;
+  for (const bool epoch : {true, false}) {
+    for (const int n : {1, 2, 5, 64, 65, 70, 130}) {
+      FakeCtl ctl(n, epoch);
+      Rng views_rng(static_cast<std::uint64_t>(n));
+      LeaderSuppressAdversary leader(kSeed);
+      CoinBiasAdversary coin(kSeed);
+      SplitBrainAdversary split(kSeed, kBurst);
+      RandomAdversary random(kSeed);
+      CrashStormAdversary storm(kSeed, /*max_crashes=*/-1, kCrashProb);
+      Rng leader_rng(kSeed), coin_rng(kSeed), split_rng(kSeed),
+          random_rng(kSeed), storm_rng(kSeed);
+      RefSplitBrain split_ref{kBurst};
+      int crashes = 0;
+      for (int i = 0; i < 3000; ++i) {
+        SCOPED_TRACE(testing::Message() << "epoch=" << epoch << " n=" << n
+                                        << " pick " << i);
+        if (i == 0 || views_rng.below(3) != 0) randomize(ctl, views_rng);
+        ASSERT_EQ(leader.pick(ctl), ref_leader_suppress(ctl, leader_rng))
+            << "leader-suppress";
+        ASSERT_EQ(coin.pick(ctl), ref_coin_bias(ctl, coin_rng))
+            << "coin-bias";
+        ASSERT_EQ(split.pick(ctl), split_ref.pick(ctl, split_rng))
+            << "split-brain";
+        ASSERT_EQ(random.pick(ctl), ref_index(runnable_ids(ctl), random_rng))
+            << "random";
+        const RefCrashStorm want =
+            ref_crash_storm(ctl, storm_rng, kCrashProb);
+        ctl.last_crash = -1;
+        ctl.allow_crash = true;
+        ASSERT_EQ(storm.pick(ctl), want.pick) << "crash-storm";
+        ctl.allow_crash = false;
+        ASSERT_EQ(ctl.last_crash, want.victim) << "crash-storm victim";
+        crashes += want.victim >= 0 ? 1 : 0;
+      }
+      if (n > 1) {
+        EXPECT_GT(crashes, 0) << "epoch=" << epoch << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(AdaptivePicks, CandidatesAreKeptUntilTheViewEpochMoves) {
+  // A view change the epoch does not announce is invisible to a strategy
+  // that already derived its candidates — which is why every mutation of
+  // a field it reads must advance the epoch.
+  FakeCtl ctl(4);
+  for (SimCtl::ProcView& v : ctl.views) v.runnable = true;
+  ctl.changed();
+  LeaderSuppressAdversary leader(7);
+  leader.pick(ctl);  // all four processes are laggards at round 0
+  ctl.views[0].hint.round = 1;
+  std::set<ProcId> unannounced, announced;
+  for (int i = 0; i < 200; ++i) unannounced.insert(leader.pick(ctl));
+  ctl.changed();
+  for (int i = 0; i < 200; ++i) announced.insert(leader.pick(ctl));
+  EXPECT_TRUE(unannounced.contains(0));
+  EXPECT_FALSE(announced.contains(0));
+}
+
+/// Fails the test, instead of letting the simulator abort, when the inner
+/// strategy picks a process that is not runnable; ends the run then.
+class RunnableCheck final : public Adversary {
+ public:
+  explicit RunnableCheck(std::unique_ptr<Adversary> inner)
+      : inner_(std::move(inner)) {}
+  ProcId pick(SimCtl& ctl) override {
+    const ProcId p = inner_->pick(ctl);
+    if (p >= 0 && !ctl.view(p).runnable) {
+      ADD_FAILURE() << inner_->name() << " picked unrunnable process " << p
+                    << " at step " << ctl.step();
+      return -1;
+    }
+    return p;
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<Adversary> inner_;
+};
+
+TEST(AdaptivePicks, CrashPlanCrashInsideACachedPickIsSeen) {
+  // The spinning processes publish no hints, so between two picks the view
+  // epoch stands still and the inner strategy reuses the candidates of its
+  // previous pick. A planned crash lands inside the next pick() call, just
+  // before the inner draw: it must move the epoch, or the crashed process
+  // is still a candidate.
+  using Factory = std::function<std::unique_ptr<Adversary>(std::uint64_t)>;
+  const std::vector<Factory> strategies = {
+      [](std::uint64_t s) { return std::make_unique<RandomAdversary>(s); },
+      [](std::uint64_t s) {
+        return std::make_unique<LeaderSuppressAdversary>(s);
+      },
+      [](std::uint64_t s) { return std::make_unique<CoinBiasAdversary>(s); },
+      [](std::uint64_t s) {
+        return std::make_unique<SplitBrainAdversary>(s, 4);
+      },
+      [](std::uint64_t s) { return std::make_unique<CrashStormAdversary>(s); },
+  };
+  const std::vector<CrashPlanAdversary::Crash> plan = {{3, 1}, {7, 3}};
+  for (const Factory& make : strategies) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      auto adv = std::make_unique<RunnableCheck>(
+          std::make_unique<CrashPlanAdversary>(make(seed), plan));
+      const std::string name = adv->name();
+      constexpr std::size_t kSteps = 60;
+      // trace[k] is the pick at step k. Past kSteps the run's unwind
+      // starts bodies never scheduled, so a crashed one appends too.
+      const std::vector<ProcId> trace = schedule_of(4, std::move(adv), kSteps);
+      ASSERT_GE(trace.size(), kSteps) << name << " seed " << seed;
+      for (const CrashPlanAdversary::Crash& c : plan) {
+        for (std::size_t k = c.at_step; k < kSteps; ++k) {
+          ASSERT_NE(trace[k], c.victim)
+              << name << " seed " << seed << " step " << k;
+        }
+      }
     }
   }
 }

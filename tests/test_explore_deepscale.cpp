@@ -120,6 +120,45 @@ TEST(DeepScale, EarlyStopPicksTheSameFirstViolation) {
   EXPECT_EQ(a.violations[0].flips, b.violations[0].flips);
 }
 
+TEST(DeepScale, ViolationStopStatsAreJobsInvariant) {
+  // bprc_explore --protocol broken-racy --n 3 --depth 12: every cell stops
+  // at its eighth violation. With batched grading the DFS runs up to a
+  // window past that leaf, yet the reported stats — enumeration-side
+  // counters included — must be the serial sweep's, all but the wall time.
+  ExploreLimits limits = cell_limits(12, 3);
+  limits.max_violations = 8;
+  for (int bits = 0; bits < 8; ++bits) {
+    const std::vector<int> inputs = {bits & 1, (bits >> 1) & 1,
+                                     (bits >> 2) & 1};
+    limits.grade_jobs = 1;
+    const ExploreStats serial = run_cell("broken-racy", inputs, limits).stats;
+    for (const unsigned jobs : {2u, 4u}) {
+      limits.grade_jobs = jobs;
+      const ExploreStats s = run_cell("broken-racy", inputs, limits).stats;
+      const std::string where = "inputs " + std::to_string(bits) +
+                                " jobs " + std::to_string(jobs);
+      EXPECT_EQ(s.executions, serial.executions) << where;
+      EXPECT_EQ(s.complete_runs, serial.complete_runs) << where;
+      EXPECT_EQ(s.truncated_runs, serial.truncated_runs) << where;
+      EXPECT_EQ(s.pruned_runs, serial.pruned_runs) << where;
+      EXPECT_EQ(s.states_visited, serial.states_visited) << where;
+      EXPECT_EQ(s.states_merged, serial.states_merged) << where;
+      EXPECT_EQ(s.sleep_pruned, serial.sleep_pruned) << where;
+      EXPECT_EQ(s.sleep_blocked, serial.sleep_blocked) << where;
+      EXPECT_EQ(s.coin_branches, serial.coin_branches) << where;
+      EXPECT_EQ(s.stale_branches, serial.stale_branches) << where;
+      EXPECT_EQ(s.max_trail_depth, serial.max_trail_depth) << where;
+      EXPECT_EQ(s.total_steps, serial.total_steps) << where;
+      EXPECT_EQ(s.worker_crashes, serial.worker_crashes) << where;
+      EXPECT_EQ(s.cache_entries, serial.cache_entries) << where;
+      EXPECT_EQ(s.peak_cache_bytes, serial.peak_cache_bytes) << where;
+      EXPECT_EQ(s.cache_evictions, serial.cache_evictions) << where;
+      EXPECT_EQ(s.schedule_digest, serial.schedule_digest) << where;
+      EXPECT_EQ(s.complete, serial.complete) << where;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SeenCache: map parity, depth semantics, budgeted eviction
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Record/replay fidelity tests for the torture harness: a run recorded
-// by RecordingAdversary and replayed through ScriptedAdversary (same
+// by the simulator and replayed through ScriptedAdversary (same
 // seed) must yield a bit-identical ConsensusRunResult, and a shrunken
 // schedule must still reproduce the original violation class.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "explore/frontier.hpp"
@@ -132,6 +133,62 @@ TEST(Replay, SimReuseReplaysIdentically) {
     const ConsensusRunResult replayed =
         replay_run(run, schedule, crashes, &reuse);
     expect_identical(fresh, replayed);
+  }
+}
+
+/// Records `run` through engine::run_trial, then replays the record
+/// through ScriptedAdversary (with its stale script) under a
+/// CrashPlanAdversary of the recorded crashes, recording the replay too.
+/// Returns {recorded, replayed}.
+std::pair<engine::TrialOutcome, engine::TrialOutcome> record_and_replay(
+    const TortureRun& run) {
+  const engine::TrialSpec spec = to_trial_spec(run, kNoDeadline);
+  engine::TrialOutcome recorded = engine::run_trial(spec);
+
+  auto scripted = std::make_unique<ScriptedAdversary>(recorded.schedule);
+  scripted->set_stale_script(recorded.stales);
+  ScheduleRecord record;
+  engine::TrialOutcome replayed;
+  replayed.result = run_consensus_sim(
+      spec.factory, spec.inputs,
+      std::make_unique<CrashPlanAdversary>(std::move(scripted),
+                                           recorded.crashes),
+      spec.seed, spec.max_steps, kNoDeadline, nullptr, nullptr,
+      spec.semantics, &record);
+  replayed.failure = replayed.result.failure();
+  replayed.schedule = std::move(record.picks);
+  replayed.crashes = std::move(record.crashes);
+  replayed.stales = std::move(record.stales);
+  return {std::move(recorded), std::move(replayed)};
+}
+
+TEST(Replay, RuntimeRecordReplaysToTheSameOutcomeDigest) {
+  // The simulator's own record (SimRuntime::set_record) must capture
+  // everything a replay re-imposes: planned crashes, crashes an adaptive
+  // strategy injects mid-pick, and stale-read choices. The replay's own
+  // record then digests identically.
+  TortureRun planned = make_run("aspnes-herlihy", {0, 0, 1}, "random", 11);
+  planned.crash_plan = {{25, 1}};
+  const TortureRun storm =
+      make_run("bprc", {1, 0, 1, 0, 1}, "crash-storm", 7);
+  TortureRun regular = make_run("bprc", {0, 1, 1}, "random", 5);
+  regular.semantics = RegisterSemantics::kRegular;
+
+  struct Case {
+    const char* name;
+    const TortureRun* run;
+    bool crashes, stales;
+  };
+  for (const Case& c : {Case{"crash-plan", &planned, true, false},
+                        Case{"crash-storm", &storm, true, false},
+                        Case{"regular", &regular, false, true}}) {
+    const auto [recorded, replayed] = record_and_replay(*c.run);
+    ASSERT_TRUE(recorded.result.ok()) << c.name;
+    ASSERT_FALSE(recorded.schedule.empty()) << c.name;
+    EXPECT_EQ(!recorded.crashes.empty(), c.crashes) << c.name;
+    EXPECT_EQ(!recorded.stales.empty(), c.stales) << c.name;
+    expect_identical(recorded.result, replayed.result);
+    EXPECT_EQ(outcome_digest(replayed), outcome_digest(recorded)) << c.name;
   }
 }
 

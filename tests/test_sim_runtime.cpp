@@ -2,6 +2,8 @@
 // injection, budget handling, unwinding, hints, step accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -239,6 +241,89 @@ TEST(SimRuntime, HintsVisibleToAdversary) {
   // Hint published before checkpoint k is visible at pick k+1.
   EXPECT_EQ(seen[1], 1);
   EXPECT_EQ(seen[2], 2);
+}
+
+/// Round-robin that crashes `victim` at step `crash_at` and logs the view
+/// epoch around it: every pick's epoch on entry, and the epoch before and
+/// after the crash.
+class EpochProbe final : public Adversary {
+ public:
+  EpochProbe(std::uint64_t crash_at, ProcId victim)
+      : crash_at_(crash_at), victim_(victim) {}
+  ProcId pick(SimCtl& ctl) override {
+    const std::uint64_t* epoch = ctl.view_epoch();
+    at_pick.push_back(*epoch);
+    finished0.push_back(ctl.view(0).finished);
+    if (ctl.step() == crash_at_) {
+      around_crash = {*epoch, 0};
+      ctl.crash(victim_);
+      around_crash[1] = *epoch;
+    }
+    return inner_.pick(ctl);
+  }
+  std::string name() const override { return "epoch-probe"; }
+
+  std::vector<std::uint64_t> at_pick;
+  std::vector<bool> finished0;  ///< view(0).finished at each pick
+  std::array<std::uint64_t, 2> around_crash{};
+
+ private:
+  std::uint64_t crash_at_;
+  ProcId victim_;
+  RoundRobinAdversary inner_;
+};
+
+TEST(SimRuntime, ViewEpochAdvancesOnEveryViewChangeAStrategyReads) {
+  // Process 0 publishes a hint and returns; 1 is crashed at step 4; 2
+  // spins until the budget stops the run and it is unwound.
+  auto owned = std::make_unique<EpochProbe>(/*crash_at=*/4, /*victim=*/1);
+  EpochProbe& probe = *owned;
+  SimRuntime rt(3, std::move(owned), 1);
+  const std::uint64_t* epoch = rt.view_epoch();
+  ASSERT_NE(epoch, nullptr);
+
+  auto spawn = [&](ProcId p, std::function<void()> body) {
+    const std::uint64_t before = *epoch;
+    rt.spawn(p, std::move(body));
+    EXPECT_GT(*epoch, before) << "spawn " << p;
+  };
+  std::uint64_t before_hint = 0, after_hint = 0, body0_end = 0;
+  spawn(0, [&] {
+    rt.checkpoint({});
+    before_hint = *epoch;
+    rt.publish_hint(Hint{});
+    after_hint = *epoch;
+    rt.checkpoint({});
+    body0_end = *epoch;
+  });
+  for (const ProcId p : {1, 2}) {
+    spawn(p, [&rt] {
+      for (;;) rt.checkpoint({});
+    });
+  }
+  const RunResult res = rt.run(40);
+  EXPECT_EQ(res.reason, RunResult::Reason::kBudget);
+
+  EXPECT_GT(after_hint, before_hint) << "publish_hint";
+  EXPECT_GT(probe.around_crash[1], probe.around_crash[0]) << "crash";
+  // The first pick that sees process 0 finished sees a later epoch than
+  // its body's last statement did.
+  const auto done = std::find(probe.finished0.begin(), probe.finished0.end(),
+                              true);
+  ASSERT_NE(done, probe.finished0.end());
+  const std::uint64_t after_finish =
+      probe.at_pick[static_cast<std::size_t>(done - probe.finished0.begin())];
+  EXPECT_GT(after_finish, body0_end) << "body finish";
+  // From then on only process 2 runs and only checkpoints: pending ops and
+  // step counts are not covered, so the epoch stands still ...
+  EXPECT_EQ(probe.at_pick.back(), after_finish);
+  // ... until the end-of-run unwind clears process 2's runnable flag.
+  EXPECT_GT(*epoch, probe.at_pick.back()) << "unwind_survivors";
+
+  // The epoch is published above the runnable mask's width too.
+  SimRuntime wide(kRunnableMaskBits + 6,
+                  std::make_unique<RoundRobinAdversary>(), 1);
+  EXPECT_NE(wide.view_epoch(), nullptr);
 }
 
 TEST(SimRuntime, PendingOpVisibleToAdversary) {
