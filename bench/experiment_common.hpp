@@ -29,6 +29,7 @@
 #include "engine/trial.hpp"
 #include "runtime/adversary.hpp"
 #include "util/env.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -52,12 +53,8 @@ inline std::uint64_t cell_seed(std::uint64_t cell_id, std::uint64_t trial) {
 /// Cell id for (n, adversary-name) sweep cells: FNV-1a over the name,
 /// mixed with n. Feed the result to cell_seed.
 inline std::uint64_t sweep_cell(int n, const std::string& adversary) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : adversary) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h ^ (static_cast<std::uint64_t>(n) << 1);
+  return fnv_mix_bytes(kFnvOffset, adversary) ^
+         (static_cast<std::uint64_t>(n) << 1);
 }
 
 inline ProtocolFactory bprc_factory(int n, int K = 2, int b = 4) {

@@ -37,7 +37,7 @@ class WalkTracer final : public Adversary {
   ProcId pick(SimCtl& ctl) override {
     const ProcId p = inner_->pick(ctl);
     if (p >= 0) {
-      const OpDesc& op = ctl.proc(p).pending;
+      const OpDesc& op = ctl.view(p).pending;
       // Counter writes carry their walk delta as the payload; arrow
       // writes and scans carry 0.
       if (op.kind == OpDesc::Kind::kWrite && op.object >= 0 &&

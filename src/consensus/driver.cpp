@@ -129,12 +129,9 @@ ConsensusRunResult run_consensus_sim(const ProtocolFactory& factory,
   const int n = static_cast<int>(inputs.size());
   // Recycled or freshly built, the runtime behaves identically; the
   // protocol instance is always fresh and dies with this call.
-  std::unique_ptr<SimRuntime> local;
-  if (reuse == nullptr) {
-    local = std::make_unique<SimRuntime>(n, std::move(adversary), seed);
-  }
-  SimRuntime& rt =
-      reuse != nullptr ? reuse->acquire(n, std::move(adversary), seed) : *local;
+  SimReuse local;
+  SimRuntime& rt = (reuse != nullptr ? *reuse : local)
+                       .acquire(n, std::move(adversary), seed);
   // Before the factory: the protocol's registers cache the semantics at
   // construction. reset() reverts a pooled runtime to atomic, so this
   // must be re-applied per trial.

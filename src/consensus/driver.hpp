@@ -32,11 +32,13 @@ class SimRuntime;
 using ProtocolFactory =
     std::function<std::unique_ptr<ConsensusProtocol>(Runtime&)>;
 
-/// Cross-trial simulator scratch. Holds one SimRuntime and recycles it
-/// (fiber stacks, process tables) across run_consensus_sim calls instead
-/// of constructing a fresh one per trial. Strictly an allocator-level
-/// optimization: results are bit-identical with and without reuse
-/// (tests/test_replay.cpp pins this).
+/// Cross-trial simulator scratch, and the one way the library's run paths
+/// (run_consensus_sim, the trial executor's workers, the explorer)
+/// obtain a simulator. Holds one SimRuntime and recycles it (fiber
+/// stacks, process tables) across runs instead of constructing a fresh
+/// one per trial. Strictly an allocator-level optimization: results are
+/// bit-identical with and without reuse (tests/test_replay.cpp pins
+/// this).
 ///
 /// A SimReuse is SINGLE-OWNER: exactly one thread may ever acquire() it
 /// (the fiber stacks it pools are thread-local, and the runtime is not
@@ -131,7 +133,8 @@ ConsensusRunResult evaluate_consensus(const ConsensusProtocol& protocol,
 /// off) arms the simulator's wall-clock watchdog; see SimRuntime::run.
 /// `reuse` (optional) recycles a simulator across calls — pass the same
 /// SimReuse to every trial of a sweep to skip per-trial fiber-stack and
-/// process-table allocation; the result is bit-identical either way.
+/// process-table allocation; null runs on a SimReuse local to the call.
+/// The result is bit-identical either way.
 /// `forced_flips` (optional) replays a recorded local-coin flip prefix
 /// through a ScriptedFlipTape — the replay half of the exploration
 /// driver's coin branching; null leaves the coins untouched.

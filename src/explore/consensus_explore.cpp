@@ -89,10 +89,7 @@ class ConsensusTarget final : public ExploreTarget {
 
 std::uint64_t consensus_target_fingerprint(
     const ConsensusExploreConfig& config) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : config.protocol) {
-    h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-  }
+  std::uint64_t h = fnv_mix_bytes(kFnvOffset, config.protocol);
   h = fnv_mix(h, config.inputs.size());
   for (const int input : config.inputs) {
     h = fnv_mix(h, static_cast<std::uint64_t>(input) + 1);
@@ -122,7 +119,7 @@ ConsensusExploreReport explore_consensus(const ConsensusExploreConfig& config,
     options->target_fingerprint = consensus_target_fingerprint(config);
   }
   ExploreResult result =
-      explore(target, config.limits, config.seed, config.reuse_runtime,
+      explore(target, config.limits, config.seed,
               options.has_value() ? &*options : nullptr);
   ConsensusExploreReport report;
   report.config = config;
@@ -133,8 +130,7 @@ ConsensusExploreReport explore_consensus(const ConsensusExploreConfig& config,
 
 std::vector<ConsensusExploreReport> explore_consensus_all_inputs(
     const std::string& protocol, int n, std::uint64_t seed,
-    const ExploreLimits& limits, bool reuse_runtime,
-    const SpaceBudget& space) {
+    const ExploreLimits& limits, const SpaceBudget& space) {
   BPRC_REQUIRE(n > 0 && n < 16, "input sweep is exponential in n");
   std::vector<ConsensusExploreReport> reports;
   for (unsigned bits = 0; bits < (1u << n); ++bits) {
@@ -143,7 +139,6 @@ std::vector<ConsensusExploreReport> explore_consensus_all_inputs(
     config.seed = seed;
     config.space = space;
     config.limits = limits;
-    config.reuse_runtime = reuse_runtime;
     config.inputs.resize(static_cast<std::size_t>(n));
     for (int p = 0; p < n; ++p) {
       config.inputs[static_cast<std::size_t>(p)] =

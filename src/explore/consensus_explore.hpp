@@ -25,7 +25,6 @@ struct ConsensusExploreConfig {
   /// refuses to resume under a different budget.
   SpaceBudget space;
   ExploreLimits limits;
-  bool reuse_runtime = true;
 };
 
 struct ConsensusExploreReport {
@@ -53,8 +52,7 @@ ConsensusExploreReport explore_consensus(const ConsensusExploreConfig& config,
 /// (and thus its inputs, for the repro) is the report it sits in.
 std::vector<ConsensusExploreReport> explore_consensus_all_inputs(
     const std::string& protocol, int n, std::uint64_t seed,
-    const ExploreLimits& limits, bool reuse_runtime = true,
-    const SpaceBudget& space = SpaceBudget{});
+    const ExploreLimits& limits, const SpaceBudget& space = SpaceBudget{});
 
 /// Builds a replayable artifact from an explorer counterexample. The
 /// schedule replays through ScriptedAdversary, the forced flips through

@@ -91,12 +91,10 @@ void make_children_waitable() {
 class Explorer final : public FlipTape, public TraceSink {
  public:
   Explorer(ExploreTarget& target, const ExploreLimits& limits,
-           std::uint64_t seed, bool reuse_runtime,
-           const FrontierOptions* frontier)
+           std::uint64_t seed, const FrontierOptions* frontier)
       : target_(target),
         limits_(limits),
         seed_(seed),
-        reuse_(reuse_runtime),
         nprocs_(target.nprocs()),
         frontier_(frontier != nullptr ? *frontier : FrontierOptions{}),
         cut_leaves_(limits.grade_jobs > 1),
@@ -199,7 +197,7 @@ class Explorer final : public FlipTape, public TraceSink {
 
   // --- scheduling callback (via ExploreShim) ---
   ProcId pick(SimCtl& ctl) {
-    const std::uint64_t runnable = runnable_set(ctl);
+    const std::uint64_t runnable = ctl.runnable_mask();
     if (runnable == 0) return -1;  // defensive; run loop checks first
 
     if (cursor_ < trail_.size()) return replay_pick(runnable);
@@ -212,7 +210,13 @@ class Explorer final : public FlipTape, public TraceSink {
         cut_ = true;
         return -1;
       }
-      return tail_pick(runnable);
+      // Deterministic completion: with seed-derived coins every leaf is a
+      // finished run the full oracle can grade.
+      const ProcId p = round_robin_after(
+          runnable, exec_schedule_.empty() ? -1 : exec_schedule_.back(),
+          nprocs_);
+      record_pick(p);
+      return p;
     }
 
     // Frontier. Seen-state check first: a state already expanded at this
@@ -414,15 +418,6 @@ class Explorer final : public FlipTape, public TraceSink {
     return exec_schedule_.size() >= limits_.branch_depth;
   }
 
-  std::uint64_t runnable_set(const SimCtl& ctl) const {
-    if (const std::uint64_t* mask = ctl.runnable_mask()) return *mask;
-    std::uint64_t out = 0;
-    for (ProcId p = 0; p < nprocs_; ++p) {
-      if (ctl.view(p).runnable) out |= bit_of(p);
-    }
-    return out;
-  }
-
   /// Root slice for --frontier-split: keep the candidates whose rank
   /// (position among set bits) lands on this slice.
   std::uint64_t split_candidates(std::uint64_t runnable) const {
@@ -506,22 +501,6 @@ class Explorer final : public FlipTape, public TraceSink {
     cur_sleep_ = child_sleep(node, node.chosen);
     record_pick(node.chosen);
     return node.chosen;
-  }
-
-  /// Deterministic completion past the branch region: round-robin from
-  /// the last scheduled process. With seed-derived coins this makes every
-  /// leaf a finished run the full oracle can grade. The parallel grading
-  /// path replays exactly this tail (leaf_grader.cpp's LeafAdversary).
-  ProcId tail_pick(std::uint64_t runnable) {
-    ProcId p = exec_schedule_.empty() ? -1 : exec_schedule_.back();
-    for (int i = 0; i < nprocs_; ++i) {
-      if (++p >= nprocs_) p = 0;
-      if ((runnable & bit_of(p)) != 0) {
-        record_pick(p);
-        return p;
-      }
-    }
-    return -1;  // unreachable: runnable != 0
   }
 
   void record_pick(ProcId p) {
@@ -622,15 +601,8 @@ class Explorer final : public FlipTape, public TraceSink {
   /// cache visits, event recording) happen in the pick()/on_flip()
   /// callbacks this triggers.
   RunResult run_core() {
-    auto shim = std::make_unique<ExploreShim>(*this);
-    if (runtime_ == nullptr) {
-      runtime_ = std::make_unique<SimRuntime>(nprocs_, std::move(shim), seed_);
-    } else if (reuse_) {
-      runtime_->reset(nprocs_, std::move(shim), seed_);
-    } else {
-      runtime_.reset();  // old instance died at the end of the last call
-      runtime_ = std::make_unique<SimRuntime>(nprocs_, std::move(shim), seed_);
-    }
+    runtime_ =
+        &reuse_.acquire(nprocs_, std::make_unique<ExploreShim>(*this), seed_);
     SimRuntime& rt = *runtime_;
 
     next_object_ = 0;
@@ -879,7 +851,6 @@ class Explorer final : public FlipTape, public TraceSink {
   ExploreTarget& target_;
   const ExploreLimits limits_;
   const std::uint64_t seed_;
-  const bool reuse_;
   const int nprocs_;
   const FrontierOptions frontier_;
   /// Batched grading: cut each leaf at the branch boundary and let the
@@ -887,7 +858,8 @@ class Explorer final : public FlipTape, public TraceSink {
   const bool cut_leaves_;
   std::uint64_t config_fp_ = 0;
 
-  std::unique_ptr<SimRuntime> runtime_;
+  SimReuse reuse_;                  ///< the DFS thread's simulator
+  SimRuntime* runtime_ = nullptr;   ///< reuse_'s, once acquired
   std::unique_ptr<ExploreTarget::Instance> instance_;
 
   // DFS state (persists across executions).
@@ -935,9 +907,8 @@ int ExploreShim::resolve_read(SimCtl&, const StaleRead& sr) {
 }  // namespace
 
 ExploreResult explore(ExploreTarget& target, const ExploreLimits& limits,
-                      std::uint64_t seed, bool reuse_runtime,
-                      const FrontierOptions* frontier) {
-  Explorer explorer(target, limits, seed, reuse_runtime, frontier);
+                      std::uint64_t seed, const FrontierOptions* frontier) {
+  Explorer explorer(target, limits, seed, frontier);
   return explorer.run();
 }
 

@@ -37,23 +37,13 @@
 
 #include "consensus/driver.hpp"
 #include "runtime/runtime.hpp"
+#include "util/fnv.hpp"
 
 namespace bprc {
 
 class SimRuntime;
 
 namespace explore {
-
-inline constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-/// FNV-1a fold — the same digest family test_replay.cpp pins schedules
-/// with, so explorer digests and golden schedule hashes stay comparable.
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= kFnvPrime;
-  return h;
-}
 
 /// Scope and safety-valve bounds for one exploration.
 struct ExploreLimits {
@@ -126,7 +116,7 @@ struct ExploreStats {
   std::uint64_t cache_evictions = 0;    ///< budget-forced depth evictions
   /// FNV-1a over every executed pick and forced flip of every execution,
   /// in DFS order. Two explorations that visit the same tree the same way
-  /// — e.g. fresh-runtime vs SimRuntime::reset() reuse — match digests.
+  /// — e.g. at different grade_jobs — match digests.
   std::uint64_t schedule_digest = kFnvOffset;
   double seconds = 0.0;
   /// True iff the bounded tree was exhausted (no safety valve fired).
@@ -211,12 +201,11 @@ struct FrontierOptions {
 
 /// Explores every schedule of `target` within `limits`. `seed` derives the
 /// per-process coins used beyond the forced-flip budget (and must match
-/// the seed later used to replay a violation). `reuse_runtime` recycles
-/// one SimRuntime across executions via reset(); results are bit-identical
-/// either way (tests/test_sim_runtime.cpp pins this). `frontier`
-/// (optional) enables checkpoint/resume; see FrontierOptions.
+/// the seed later used to replay a violation). Every execution runs on
+/// one SimRuntime, re-armed through a SimReuse. `frontier` (optional)
+/// enables checkpoint/resume; see FrontierOptions.
 ExploreResult explore(ExploreTarget& target, const ExploreLimits& limits,
-                      std::uint64_t seed, bool reuse_runtime = true,
+                      std::uint64_t seed,
                       const FrontierOptions* frontier = nullptr);
 
 }  // namespace explore

@@ -18,29 +18,21 @@ namespace {
 class LeafAdversary final : public Adversary {
  public:
   LeafAdversary(const std::vector<ProcId>* schedule,
-                const std::vector<int>* stales, int nprocs,
+                const std::vector<int>* stales,
                 std::vector<std::uint8_t>* events)
-      : schedule_(schedule), stales_(stales), nprocs_(nprocs),
-        events_(events) {}
+      : schedule_(schedule), stales_(stales), events_(events) {}
 
   ProcId pick(SimCtl& ctl) override {
-    const std::uint64_t runnable = runnable_set(ctl);
+    const std::uint64_t runnable = ctl.runnable_mask();
     if (runnable == 0) return -1;
     ProcId p = -1;
     if (pos_ < schedule_->size()) {
       p = (*schedule_)[pos_++];
-      BPRC_REQUIRE(p >= 0 && p < nprocs_ &&
+      BPRC_REQUIRE(p >= 0 && p < ctl.nprocs() &&
                        (runnable >> static_cast<unsigned>(p)) & 1,
                    "leaf replay diverged: scripted pick not runnable");
     } else {
-      ProcId q = last_;
-      for (int i = 0; i < nprocs_; ++i) {
-        if (++q >= nprocs_) q = 0;
-        if ((runnable >> static_cast<unsigned>(q)) & 1) {
-          p = q;
-          break;
-        }
-      }
+      p = round_robin_after(runnable, last_, ctl.nprocs());
     }
     last_ = p;
     events_->push_back(static_cast<std::uint8_t>(p + 1));
@@ -64,18 +56,8 @@ class LeafAdversary final : public Adversary {
   }
 
  private:
-  std::uint64_t runnable_set(const SimCtl& ctl) const {
-    if (const std::uint64_t* mask = ctl.runnable_mask()) return *mask;
-    std::uint64_t out = 0;
-    for (ProcId p = 0; p < nprocs_; ++p) {
-      if (ctl.view(p).runnable) out |= std::uint64_t{1} << static_cast<unsigned>(p);
-    }
-    return out;
-  }
-
   const std::vector<ProcId>* schedule_;
   const std::vector<int>* stales_;
-  const int nprocs_;
   std::vector<std::uint8_t>* events_;
   std::size_t pos_ = 0;
   std::size_t spos_ = 0;
@@ -123,7 +105,7 @@ LeafOutcome grade_leaf(ExploreTarget& target, const ExploreLimits& limits,
   SimRuntime& rt = reuse.acquire(
       target.nprocs(),
       std::make_unique<LeafAdversary>(&spec.schedule, &spec.stales,
-                                      target.nprocs(), &out.events),
+                                      &out.events),
       seed);
   RecordingFlipTape tape(&spec.flips, &out.events);
   // Before instantiate(): registers cache the semantics at construction.

@@ -58,6 +58,19 @@ struct LeafOutcome {
   std::optional<Violation> violation;
 };
 
+/// The deterministic tail's pick: the first process after `last` (-1
+/// before any pick), round-robin over ids, whose bit is set in
+/// `runnable`; -1 when none is. The serial explorer and grade_leaf both
+/// complete a leaf with it.
+inline ProcId round_robin_after(std::uint64_t runnable, ProcId last,
+                                int nprocs) {
+  for (int i = 0; i < nprocs; ++i) {
+    if (++last >= nprocs) last = 0;
+    if ((runnable >> static_cast<unsigned>(last)) & 1) return last;
+  }
+  return -1;
+}
+
 /// Recovers the pick sequence from an event stream (for violation
 /// artifacts: the full schedule includes the deterministic tail).
 std::vector<ProcId> decode_schedule(const std::vector<std::uint8_t>& events);

@@ -107,7 +107,7 @@ class TokenGameTarget final : public ExploreTarget {
 
 ExploreResult explore_token_game(int n, int K, int moves_per_proc,
                                  const ExploreLimits& limits,
-                                 std::uint64_t seed, bool reuse_runtime) {
+                                 std::uint64_t seed) {
   BPRC_REQUIRE(n > 0 && K > 0 && moves_per_proc > 0,
                "token-game exploration needs positive n, K, moves");
   BPRC_REQUIRE(limits.branch_depth >=
@@ -116,7 +116,7 @@ ExploreResult explore_token_game(int n, int K, int moves_per_proc,
                "branch_depth below n*moves: the tail would serialize part "
                "of the interleaving space");
   TokenGameTarget target(n, K, moves_per_proc);
-  return explore(target, limits, seed, reuse_runtime);
+  return explore(target, limits, seed);
 }
 
 }  // namespace bprc::explore

@@ -7,21 +7,14 @@
 #include "engine/executor.hpp"
 #include "fault/protocols.hpp"
 #include "util/assert.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace bprc::fault {
 
-const std::vector<std::string>& torture_adversary_names() {
-  return engine::adversary_names();
-}
-
 std::unique_ptr<Adversary> make_adversary(const std::string& name,
                                           std::uint64_t seed) {
   return engine::make_adversary(name, seed);
-}
-
-bool adversary_injects_crashes(const std::string& name) {
-  return engine::adversary_injects_crashes(name);
 }
 
 engine::TrialSpec to_trial_spec(const TortureRun& run,
@@ -93,17 +86,6 @@ std::vector<CrashPlanAdversary::Crash> seeded_crash_plan(Rng& rng, int n) {
   return plan;
 }
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001B3ULL;
-  return h;
-}
-
-std::uint64_t fnv_mix_string(std::uint64_t h, const std::string& s) {
-  for (const char c : s) h = fnv_mix(h, static_cast<unsigned char>(c));
-  return h;
-}
-
 }  // namespace
 
 /// Enumerates the full sweep matrix up front, in the exact order the old
@@ -126,7 +108,7 @@ std::vector<TortureRun> enumerate_campaign_runs(
   const std::vector<std::string> protocols =
       config.protocols.empty() ? protocol_names() : config.protocols;
   const std::vector<std::string> adversaries = config.adversaries.empty()
-                                                   ? torture_adversary_names()
+                                                   ? engine::adversary_names()
                                                    : config.adversaries;
   const std::vector<RegisterSemantics> semantics_axis =
       config.semantics.empty()
@@ -175,7 +157,7 @@ std::vector<TortureRun> enumerate_campaign_runs(
                 continue;
               }
               if (!crash_tolerant &&
-                  (with_plan || adversary_injects_crashes(adversary))) {
+                  (with_plan || engine::adversary_injects_crashes(adversary))) {
                 // Skip once per (adversary, plan) pair, not silently: the
                 // report carries the count so nobody mistakes a skipped
                 // cell for a covered one.
@@ -207,7 +189,7 @@ std::vector<TortureRun> enumerate_campaign_runs(
 }
 
 std::uint64_t outcome_digest(const engine::TrialOutcome& out) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvOffset;
   for (const ProcId p : out.schedule) {
     h = fnv_mix(h, static_cast<std::uint64_t>(p));
   }
@@ -233,7 +215,7 @@ std::uint64_t quarantined_digest() {
   // as the failure class: no schedule, no crashes, no decisions, zero
   // steps. Any coordinator that quarantines the same index folds the
   // same value.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvOffset;
   h = fnv_mix(h, 0);  // total_steps
   h = fnv_mix(h, static_cast<std::uint64_t>(FailureClass::kWorkerCrash));
   return h;
@@ -298,16 +280,16 @@ bool fold_outcome_record(CampaignReport& report, OutcomeRecord&& record,
 
 std::uint64_t campaign_matrix_fingerprint(
     const CampaignConfig& config, const std::vector<TortureRun>& runs) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvOffset;
   h = fnv_mix(h, runs.size());
   h = fnv_mix(h, config.max_failures);
   h = fnv_mix(h, static_cast<std::uint64_t>(config.run_deadline.count()));
   for (const TortureRun& run : runs) {
-    h = fnv_mix_string(h, run.protocol);
+    h = fnv_mix_bytes(h, run.protocol);
     for (const int v : run.inputs) {
       h = fnv_mix(h, static_cast<std::uint64_t>(v + 1));
     }
-    h = fnv_mix_string(h, run.adversary);
+    h = fnv_mix_bytes(h, run.adversary);
     for (const auto& c : run.crash_plan) {
       h = fnv_mix(h, c.at_step * 31 + static_cast<std::uint64_t>(c.victim));
     }

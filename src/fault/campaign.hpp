@@ -32,6 +32,7 @@
 #include "consensus/driver.hpp"
 #include "engine/trial.hpp"
 #include "runtime/adversary.hpp"
+#include "util/fnv.hpp"
 #include "util/space_budget.hpp"
 
 namespace bprc::fault {
@@ -126,7 +127,7 @@ struct CampaignReport {
   /// in delivery (= generation) order: the independence witness the CI
   /// digest comparisons check across --jobs levels, --workers counts,
   /// and --shard/--merge round trips.
-  std::uint64_t summary_digest = 0xCBF29CE484222325ULL;
+  std::uint64_t summary_digest = kFnvOffset;
   bool interrupted = false;  ///< stop_requested fired before completion
   bool ok() const { return failures.empty() && !interrupted; }
 };
@@ -191,18 +192,10 @@ std::vector<TortureRun> enumerate_campaign_runs(
 std::uint64_t campaign_matrix_fingerprint(const CampaignConfig& config,
                                           const std::vector<TortureRun>& runs);
 
-/// Names the campaign's adversary registry understands. Forwarders to
-/// the engine-level registry (engine/adversaries.hpp), kept under their
-/// historical names for the CLI and the tests.
-const std::vector<std::string>& torture_adversary_names();
-
-/// Instantiates a registered adversary; BPRC_REQUIRE on unknown names.
+/// Instantiates a registered adversary (engine::make_adversary);
+/// BPRC_REQUIRE on unknown names.
 std::unique_ptr<Adversary> make_adversary(const std::string& name,
                                           std::uint64_t seed);
-
-/// True for adversaries that inject crash failures on their own (these
-/// are skipped for protocols registered as not crash-tolerant).
-bool adversary_injects_crashes(const std::string& name);
 
 /// Engine translation: the TrialSpec that executes `run` (generative,
 /// recording). Campaign, shrinker, and replay all round-trip through

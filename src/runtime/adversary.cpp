@@ -12,8 +12,7 @@ namespace {
 // set, the laggards, the preferred walk steps) depend only on view fields
 // the simulator's view epoch covers, which change far less often than
 // steps are taken; each strategy keeps them in a CandidateCache and
-// re-derives them only when the epoch moved (per pick when the controller
-// publishes none). A pick is then one draw indexing a list gathered in
+// re-derives them only when the epoch moved. A pick is then one draw indexing a list gathered in
 // id order: the same draws and the same processes as the historical
 // "collect ids into a vector, index it" code, so recorded schedules are
 // bit-identical. After the first derivation nothing allocates.

@@ -19,16 +19,18 @@
 
 namespace bprc {
 
-/// Width of the O(1) runnable-set digest (SimCtl::runnable_mask): one bit
-/// per process id. Simulations wider than this fall back to scanning the
-/// view array; replay/exploration tooling that depends on the digest
-/// being authoritative validates recorded configurations against this
-/// bound.
+/// Width of the runnable-set digest (SimCtl::runnable_mask): one bit per
+/// process id. Wider simulations scan the views instead; replay and
+/// exploration tooling that relies on the digest validates recorded
+/// configurations against this bound.
 inline constexpr int kRunnableMaskBits = 64;
 
 struct ScheduleRecord;
 
-/// Read/control surface the simulator exposes to its adversary.
+/// What the simulator shows its adversary, as plain data: every process's
+/// view, the step count, the view epoch and the runnable mask. A
+/// controller (SimRuntime, or a test double) keeps these current; crash()
+/// is the one thing an adversary asks of it.
 class SimCtl {
  public:
   struct ProcView {
@@ -40,34 +42,23 @@ class SimCtl {
     std::uint64_t steps = 0;
   };
 
-  virtual ~SimCtl() = default;
-  virtual int nprocs() const = 0;
-  virtual const ProcView& proc(ProcId p) const = 0;
-  virtual std::uint64_t step() const = 0;
-
-  /// Allocation-free twin of proc(): resolves through a contiguous view
-  /// array when the implementation publishes one (SimRuntime does), with
-  /// a virtual-call fallback otherwise. Identical results either way; the
-  /// adversaries' per-step scan loops go through here. `p` must be in
-  /// [0, nprocs()) — the fast path does not bounds-check.
+  int nprocs() const { return static_cast<int>(views_.size()); }
+  /// `p` must be in [0, nprocs()); not bounds-checked.
   const ProcView& view(ProcId p) const {
-    return fast_views_ != nullptr ? fast_views_[p] : proc(p);
+    return views_[static_cast<std::size_t>(p)];
   }
+  /// Steps taken so far, over all processes.
+  std::uint64_t step() const { return step_; }
 
-  /// O(1) runnable-set digest when the implementation maintains one: bit p
-  /// is set iff process p is runnable. Null when unavailable (more than 64
-  /// processes, or an implementation that doesn't track it) — callers must
-  /// then fall back to scanning view(p).runnable, which reads identically.
-  const std::uint64_t* runnable_mask() const { return fast_mask_; }
+  /// Bit p is set iff process p is runnable. Kept only while nprocs() <=
+  /// kRunnableMaskBits; wider callers scan view(p).runnable.
+  std::uint64_t runnable_mask() const { return runnable_mask_; }
 
-  /// View epoch when the implementation maintains one: a counter that
-  /// advances on every change to `runnable`, `crashed`, `finished` or
-  /// `hint` of any view, so candidates a strategy derived from those
-  /// fields stay valid while it stands still (`pending` and `steps`
-  /// change at every step and are not covered). SimRuntime publishes one
-  /// at every n; null for controllers without one (test doubles), and
-  /// strategies then re-derive per pick.
-  const std::uint64_t* view_epoch() const { return fast_epoch_; }
+  /// A counter that advances on every change to `runnable`, `crashed`,
+  /// `finished` or `hint` of any view, so candidates a strategy derived
+  /// from those fields stay valid while it stands still (`pending` and
+  /// `steps` change at every step and are not covered).
+  std::uint64_t view_epoch() const { return view_epoch_; }
 
   /// Makes the implementation append every pick, effective crash and
   /// stale-read choice of the run to `*record` (null stops recording).
@@ -80,29 +71,28 @@ class SimCtl {
   virtual void crash(ProcId p) = 0;
 
  protected:
-  /// Implementations with contiguous per-process views point these at the
-  /// live state (and keep them current across reallocation); others leave
-  /// them null.
-  const ProcView* fast_views_ = nullptr;
-  const std::uint64_t* fast_mask_ = nullptr;
-  const std::uint64_t* fast_epoch_ = nullptr;
+  ~SimCtl() = default;  // never owned through a SimCtl pointer
+
+  std::vector<ProcView> views_;
+  std::uint64_t step_ = 0;
+  std::uint64_t runnable_mask_ = 0;
+  std::uint64_t view_epoch_ = 0;
   ScheduleRecord* record_ = nullptr;  ///< not owned; see set_record
 };
 
 /// Candidate lists a strategy derives from a controller's views, kept
 /// while the controller's view epoch stands still (SimCtl::view_epoch).
 /// List i of an n-process simulation starts at list(i) and holds its
-/// candidates in id order. Without an epoch every pick re-derives them.
+/// candidates in id order.
 class CandidateCache {
  public:
   /// The buffer to derive `lists` lists into when the views moved since
-  /// the last derivation or the controller publishes no epoch; null while
-  /// the lists derived last time are current. A crash() moves the epoch,
-  /// so a strategy that crashes mid-pick asks again before drawing.
+  /// the last derivation; null while the lists derived last time are
+  /// current. A crash() moves the epoch, so a strategy that crashes
+  /// mid-pick asks again before drawing.
   ProcId* stale(const SimCtl& ctl, int lists) {
-    const std::uint64_t* epoch = ctl.view_epoch();
-    if (epoch != nullptr && *epoch == epoch_) return nullptr;
-    epoch_ = epoch != nullptr ? *epoch : kNever;
+    if (ctl.view_epoch() == epoch_) return nullptr;
+    epoch_ = ctl.view_epoch();
     n_ = ctl.nprocs();
     const auto need =
         static_cast<std::size_t>(n_) * static_cast<std::size_t>(lists);
@@ -114,8 +104,7 @@ class CandidateCache {
   int nprocs() const { return n_; }
 
  private:
-  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
-  std::uint64_t epoch_ = kNever;
+  std::uint64_t epoch_ = ~std::uint64_t{0};  ///< no epoch reaches this
   int n_ = 0;
   std::vector<ProcId> ids_;
 };

@@ -1,8 +1,8 @@
 // Stackful fibers: the execution substrate of the deterministic simulator.
 //
-// The simulator multiplexes n simulated processes onto one OS thread (the
-// host has a single core), switching between them at shared-memory
-// checkpoints. A switch saves/restores only the callee-saved registers and
+// The simulator multiplexes n simulated processes onto one OS thread (so
+// a run is deterministic and its adversary sees every process between
+// steps), switching between them at shared-memory checkpoints. A switch saves/restores only the callee-saved registers and
 // the stack pointer (System V x86-64), taking ~20ns — three orders of
 // magnitude cheaper than gating OS threads with condition variables, which
 // is what makes 10^8-step Monte-Carlo experiments feasible.

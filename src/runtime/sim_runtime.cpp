@@ -24,12 +24,7 @@ void SimRuntime::init(int nprocs, std::unique_ptr<Adversary> adversary,
 
   const auto count = static_cast<std::size_t>(nprocs);
   views_.assign(count, SimCtl::ProcView{});
-  fast_views_ = views_.data();  // SimCtl::view() fast path
   runnable_mask_ = 0;
-  fast_mask_ =
-      count <= static_cast<std::size_t>(kRunnableMaskBits) ? &runnable_mask_
-                                                           : nullptr;
-  fast_epoch_ = &view_epoch_;
   ++view_epoch_;  // the views were rebuilt
   if (states_.size() == count) {
     for (ProcState& st : states_) {
@@ -50,7 +45,7 @@ void SimRuntime::init(int nprocs, std::unique_ptr<Adversary> adversary,
   record_ = nullptr;
   semantics_ = RegisterSemantics::kAtomic;
   current_ = -1;
-  total_steps_ = 0;
+  step_ = 0;
   now_ = 0;
   ran_ = false;
   in_run_ = false;
@@ -92,7 +87,7 @@ void SimRuntime::spawn(ProcId p, std::function<void()> body) {
 }
 
 bool SimRuntime::watchdog_expired() const {
-  return watched_ && (total_steps_ % kWatchdogStride == 0) &&
+  return watched_ && (step_ % kWatchdogStride == 0) &&
          std::chrono::steady_clock::now() >= deadline_at_;
 }
 
@@ -112,7 +107,7 @@ void SimRuntime::checkpoint(const OpDesc& op) {
   }
   view.pending = op;
   ++view.steps;
-  ++total_steps_;
+  ++step_;
 
   // Fast path: consult the adversary here, before parking. The budget and
   // watchdog gates mirror the run-loop head exactly, so the adversary is
@@ -121,7 +116,7 @@ void SimRuntime::checkpoint(const OpDesc& op) {
   // When the pick lands on the running process (guaranteed under solo
   // tails, 1/k under uniform-random over k runnable) control never leaves
   // this stack: no fiber switch, no heap, nothing beyond the pick() call.
-  if (in_run_ && total_steps_ < max_steps_ && !watchdog_expired()) {
+  if (in_run_ && step_ < max_steps_ && !watchdog_expired()) {
     const ProcId p = consult();
     if (p == current_) {
       // crash(current_) inside pick() would have set me.stop; a self-pick
@@ -171,7 +166,7 @@ void SimRuntime::crash(ProcId p) {
   const std::size_t ix = checked(p);
   SimCtl::ProcView& view = views_[ix];
   if (view.finished || view.crashed) return;
-  if (record_ != nullptr) record_->crashes.push_back({total_steps_, p});
+  if (record_ != nullptr) record_->crashes.push_back({step_, p});
   view.crashed = true;
   view.runnable = false;
   mask_clear(ix);
@@ -179,7 +174,7 @@ void SimRuntime::crash(ProcId p) {
 }
 
 bool SimRuntime::any_runnable() const {
-  if (fast_mask_ != nullptr) return runnable_mask_ != 0;
+  if (views_.size() <= kRunnableMaskBits) return runnable_mask_ != 0;
   for (const auto& view : views_) {
     if (view.runnable) return true;
   }
@@ -221,7 +216,7 @@ RunResult SimRuntime::run(std::uint64_t max_steps,
                             : RunResult::Reason::kNoRunnable;
         break;
       }
-      if (total_steps_ >= max_steps) {
+      if (step_ >= max_steps) {
         result.reason = RunResult::Reason::kBudget;
         break;
       }
@@ -245,7 +240,7 @@ RunResult SimRuntime::run(std::uint64_t max_steps,
 
   in_run_ = false;
   unwind_survivors();
-  result.steps = total_steps_;
+  result.steps = step_;
   return result;
 }
 

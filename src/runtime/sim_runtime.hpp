@@ -88,7 +88,9 @@ class SimRuntime final : public Runtime, private SimCtl {
                 std::chrono::nanoseconds deadline = std::chrono::nanoseconds::zero());
 
   /// SimCtl::view_epoch: advances on every spawn, hint publication,
-  /// crash, body finish and end-of-run unwind. Published at every n.
+  /// crash, body finish and end-of-run unwind. Never reset, so candidates
+  /// cached against one run cannot match a later run of a reset()
+  /// runtime.
   using SimCtl::view_epoch;
 
   bool crashed(ProcId p) const { return views_[checked(p)].crashed; }
@@ -106,7 +108,7 @@ class SimRuntime final : public Runtime, private SimCtl {
   std::uint64_t steps(ProcId p) const override {
     return views_[checked(p)].steps;
   }
-  std::uint64_t total_steps() const override { return total_steps_; }
+  std::uint64_t total_steps() const override { return step_; }
   TraceSink* trace_sink() const override { return trace_sink_; }
   RegisterSemantics register_semantics() const override { return semantics_; }
   int resolve_stale_read(const StaleRead& sr) override {
@@ -117,8 +119,7 @@ class SimRuntime final : public Runtime, private SimCtl {
 
  private:
   /// Per-process state the adversary never sees; the visible half lives in
-  /// views_ (contiguous, so adversary scans are cache-linear and reachable
-  /// without a virtual call — see SimCtl::view).
+  /// SimCtl's views_ (contiguous, so adversary scans are cache-linear).
   struct ProcState {
     std::unique_ptr<Fiber> fiber;
     Rng rng{0};
@@ -127,10 +128,6 @@ class SimRuntime final : public Runtime, private SimCtl {
   };
 
   // --- SimCtl interface (called by the adversary) ---
-  const SimCtl::ProcView& proc(ProcId p) const override {
-    return views_[checked(p)];
-  }
-  std::uint64_t step() const override { return total_steps_; }
   void crash(ProcId p) override;
 
   /// Shared constructor/reset body.
@@ -146,12 +143,12 @@ class SimRuntime final : public Runtime, private SimCtl {
     if (record_ != nullptr && p >= 0) record_->picks.push_back(p);
     return p;
   }
-  /// Keep the O(1) runnable digest (SimCtl::runnable_mask) in sync with
+  /// Keep the runnable digest (SimCtl::runnable_mask) in sync with
   /// views_[ix].runnable. Digest bits exist only for ids <
-  /// kRunnableMaskBits; beyond that fast_mask_ stays null and everything
-  /// scans views_ instead. Every runnable/crashed/finished change goes
-  /// through one of these, so they also advance the view epoch
-  /// (SimCtl::view_epoch), as publish_hint does for hints.
+  /// kRunnableMaskBits; wider runs scan views_ instead. Every
+  /// runnable/crashed/finished change goes through one of these, so they
+  /// also advance the view epoch (SimCtl::view_epoch), as publish_hint
+  /// does for hints.
   void mask_set(std::size_t ix) {
     if (ix < kRunnableMaskBits) runnable_mask_ |= std::uint64_t{1} << ix;
     ++view_epoch_;
@@ -169,17 +166,11 @@ class SimRuntime final : public Runtime, private SimCtl {
   // clock read per primitive operation would dominate small runs.
   static constexpr std::uint64_t kWatchdogStride = 4096;
 
-  std::vector<SimCtl::ProcView> views_;  ///< adversary-visible, contiguous
   std::vector<ProcState> states_;        ///< same index as views_
   TraceSink* trace_sink_ = nullptr;      ///< not owned; cleared by reset()
   RegisterSemantics semantics_ = RegisterSemantics::kAtomic;
-  std::uint64_t runnable_mask_ = 0;      ///< bit p = views_[p].runnable
-  /// SimCtl::view_epoch. Never reset, so candidates cached against one
-  /// run cannot match a later run of a reset() runtime.
-  std::uint64_t view_epoch_ = 0;
   std::unique_ptr<Adversary> adversary_;
   ProcId current_ = -1;
-  std::uint64_t total_steps_ = 0;
   std::uint64_t now_ = 0;
   bool ran_ = false;
 

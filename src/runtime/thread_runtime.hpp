@@ -2,9 +2,9 @@
 //
 // Complements the deterministic simulator with genuinely concurrent
 // execution: register implementations must be linearizable under real
-// data races, not just under the simulator's serialized steps. On the
-// single-core host, optional random yields at checkpoints coax the kernel
-// into diverse interleavings.
+// data races, not just under the simulator's serialized steps. Optional
+// random yields at checkpoints coax the kernel into more diverse
+// interleavings than it produces on its own.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,7 @@
 // Environment-variable knobs for the experiment harnesses.
 //
-// Every bench binary runs to completion with no arguments on a laptop-class
-// single core; BPRC_SCALE multiplies Monte-Carlo trial counts for
+// Every bench binary runs to completion with no arguments on one core of
+// a laptop-class machine; BPRC_SCALE multiplies Monte-Carlo trial counts for
 // higher-fidelity runs (e.g. BPRC_SCALE=10 for publication-grade CIs).
 #pragma once
 

@@ -64,7 +64,8 @@
 #       is the same at jobs=1, jobs=max and 2 forked workers
 #
 # And a malformed numeric option must be refused, not parsed as a prefix,
-# and a thread or process count above the ceiling refused at parse time:
+# a thread or process count above the ceiling refused at parse time, and
+# bprc_explore's --isolate refused with any --jobs but 1 (0 included):
 #
 #   artifact_roundtrips.sh cli-args BIN_DIR WORK_DIR
 #       each bad value exits 2 with the option named on stderr; an
@@ -300,6 +301,7 @@ EOF
 --jobs bprc_torture --jobs 100000 --seeds abc
 --workers bprc_torture --workers 100000 --seeds abc
 --jobs bprc_explore --jobs 100000 --depth abc
+--isolate bprc_explore --protocol bprc --n 2 --inputs 0,1 --isolate --jobs 0
 EOF
     ;;
 

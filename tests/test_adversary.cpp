@@ -219,34 +219,20 @@ TEST(Recording, ReplayReproducesTheSchedule) {
   EXPECT_EQ(trace1, trace2);
 }
 
-/// A SimCtl over hand-set views. Like SimRuntime, it publishes a fast
-/// view array and a runnable mask up to kRunnableMaskBits processes and,
-/// unless built with `epoch` false, a view epoch at every size, so the
-/// strategies take their cached path; without an epoch they re-derive per
-/// pick. Call changed() after editing `views`. crash() fails the test
-/// unless `allow_crash` is set.
+/// A SimCtl over hand-set views. Edit them through views(), then call
+/// changed(), which re-derives the runnable mask (up to
+/// kRunnableMaskBits processes, as SimRuntime keeps it) and advances the
+/// view epoch. crash() fails the test unless `allow_crash` is set.
 class FakeCtl final : public SimCtl {
  public:
-  explicit FakeCtl(int n, bool epoch = true)
-      : views(static_cast<std::size_t>(n)) {
-    if (n <= kRunnableMaskBits) {
-      fast_views_ = views.data();
-      fast_mask_ = &mask_;
-    }
-    if (epoch) fast_epoch_ = &epoch_;
-  }
-  int nprocs() const override { return static_cast<int>(views.size()); }
-  const ProcView& proc(ProcId p) const override {
-    return views[static_cast<std::size_t>(p)];
-  }
-  std::uint64_t step() const override { return 0; }
+  explicit FakeCtl(int n) { views_.resize(static_cast<std::size_t>(n)); }
   /// SimRuntime's crash(): finished and crashed victims are ignored.
   void crash(ProcId p) override {
     if (!allow_crash) {
       ADD_FAILURE() << "unexpected crash of process " << p;
       return;
     }
-    ProcView& v = views[static_cast<std::size_t>(p)];
+    ProcView& v = views_[static_cast<std::size_t>(p)];
     if (v.finished || v.crashed) return;
     v.crashed = true;
     v.runnable = false;
@@ -254,22 +240,19 @@ class FakeCtl final : public SimCtl {
     changed();
   }
 
+  std::vector<ProcView>& views() { return views_; }
+
   /// Re-derives the runnable mask and advances the epoch.
   void changed() {
-    mask_ = 0;
-    for (std::size_t p = 0; p < views.size() && p < 64; ++p) {
-      if (views[p].runnable) mask_ |= std::uint64_t{1} << p;
+    runnable_mask_ = 0;
+    for (std::size_t p = 0; p < views_.size() && p < 64; ++p) {
+      if (views_[p].runnable) runnable_mask_ |= std::uint64_t{1} << p;
     }
-    ++epoch_;
+    ++view_epoch_;
   }
 
-  std::vector<ProcView> views;
   bool allow_crash = false;
   ProcId last_crash = -1;
-
- private:
-  std::uint64_t mask_ = 0;
-  std::uint64_t epoch_ = 0;
 };
 
 /// Fills the views with random runnable/crashed flags, rounds, walk and
@@ -281,7 +264,7 @@ void randomize(FakeCtl& ctl, Rng& rng) {
   const std::uint64_t density = rng.below(5);  // runnable w.p. density/4
   const std::uint64_t dead_half = rng.below(4);  // 0/1: that half dead
   for (ProcId p = 0; p < n; ++p) {
-    SimCtl::ProcView& v = ctl.views[static_cast<std::size_t>(p)];
+    SimCtl::ProcView& v = ctl.views()[static_cast<std::size_t>(p)];
     const int half = p < std::max(1, n / 2) ? 0 : 1;
     v.runnable = rng.below(4) < density &&
                  !(dead_half < 2 && static_cast<int>(dead_half) == half);
@@ -413,51 +396,47 @@ RefCrashStorm ref_crash_storm(const FakeCtl& ctl, Rng& rng, double prob) {
 }
 
 TEST(AdaptivePicks, MatchCollectAndIndexReferenceAtEverySize) {
-  // With an epoch the strategies keep their candidates while it stands
+  // The strategies keep their candidates while the view epoch stands
   // still: randomize() moves it in two calls of three, and so does every
-  // crash crash-storm injects. Without one they derive per pick. Above 64
-  // processes there is no fast view array or runnable mask, so the
-  // derivations scan view() instead. Only crash-storm may crash.
+  // crash crash-storm injects. Above 64 processes there is no runnable
+  // mask; the strategies never read it. Only crash-storm may crash.
   constexpr std::uint64_t kSeed = 41;
   constexpr std::uint64_t kBurst = 6;
   constexpr double kCrashProb = 0.3;
-  for (const bool epoch : {true, false}) {
-    for (const int n : {1, 2, 5, 64, 65, 70, 130}) {
-      FakeCtl ctl(n, epoch);
-      Rng views_rng(static_cast<std::uint64_t>(n));
-      LeaderSuppressAdversary leader(kSeed);
-      CoinBiasAdversary coin(kSeed);
-      SplitBrainAdversary split(kSeed, kBurst);
-      RandomAdversary random(kSeed);
-      CrashStormAdversary storm(kSeed, /*max_crashes=*/-1, kCrashProb);
-      Rng leader_rng(kSeed), coin_rng(kSeed), split_rng(kSeed),
-          random_rng(kSeed), storm_rng(kSeed);
-      RefSplitBrain split_ref{kBurst};
-      int crashes = 0;
-      for (int i = 0; i < 3000; ++i) {
-        SCOPED_TRACE(testing::Message() << "epoch=" << epoch << " n=" << n
-                                        << " pick " << i);
-        if (i == 0 || views_rng.below(3) != 0) randomize(ctl, views_rng);
-        ASSERT_EQ(leader.pick(ctl), ref_leader_suppress(ctl, leader_rng))
-            << "leader-suppress";
-        ASSERT_EQ(coin.pick(ctl), ref_coin_bias(ctl, coin_rng))
-            << "coin-bias";
-        ASSERT_EQ(split.pick(ctl), split_ref.pick(ctl, split_rng))
-            << "split-brain";
-        ASSERT_EQ(random.pick(ctl), ref_index(runnable_ids(ctl), random_rng))
-            << "random";
-        const RefCrashStorm want =
-            ref_crash_storm(ctl, storm_rng, kCrashProb);
-        ctl.last_crash = -1;
-        ctl.allow_crash = true;
-        ASSERT_EQ(storm.pick(ctl), want.pick) << "crash-storm";
-        ctl.allow_crash = false;
-        ASSERT_EQ(ctl.last_crash, want.victim) << "crash-storm victim";
-        crashes += want.victim >= 0 ? 1 : 0;
-      }
-      if (n > 1) {
-        EXPECT_GT(crashes, 0) << "epoch=" << epoch << " n=" << n;
-      }
+  for (const int n : {1, 2, 5, 64, 65, 70, 130}) {
+    FakeCtl ctl(n);
+    Rng views_rng(static_cast<std::uint64_t>(n));
+    LeaderSuppressAdversary leader(kSeed);
+    CoinBiasAdversary coin(kSeed);
+    SplitBrainAdversary split(kSeed, kBurst);
+    RandomAdversary random(kSeed);
+    CrashStormAdversary storm(kSeed, /*max_crashes=*/-1, kCrashProb);
+    Rng leader_rng(kSeed), coin_rng(kSeed), split_rng(kSeed),
+        random_rng(kSeed), storm_rng(kSeed);
+    RefSplitBrain split_ref{kBurst};
+    int crashes = 0;
+    for (int i = 0; i < 3000; ++i) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " pick " << i);
+      if (i == 0 || views_rng.below(3) != 0) randomize(ctl, views_rng);
+      ASSERT_EQ(leader.pick(ctl), ref_leader_suppress(ctl, leader_rng))
+          << "leader-suppress";
+      ASSERT_EQ(coin.pick(ctl), ref_coin_bias(ctl, coin_rng))
+          << "coin-bias";
+      ASSERT_EQ(split.pick(ctl), split_ref.pick(ctl, split_rng))
+          << "split-brain";
+      ASSERT_EQ(random.pick(ctl), ref_index(runnable_ids(ctl), random_rng))
+          << "random";
+      const RefCrashStorm want =
+          ref_crash_storm(ctl, storm_rng, kCrashProb);
+      ctl.last_crash = -1;
+      ctl.allow_crash = true;
+      ASSERT_EQ(storm.pick(ctl), want.pick) << "crash-storm";
+      ctl.allow_crash = false;
+      ASSERT_EQ(ctl.last_crash, want.victim) << "crash-storm victim";
+      crashes += want.victim >= 0 ? 1 : 0;
+    }
+    if (n > 1) {
+      EXPECT_GT(crashes, 0) << "n=" << n;
     }
   }
 }
@@ -467,11 +446,11 @@ TEST(AdaptivePicks, CandidatesAreKeptUntilTheViewEpochMoves) {
   // that already derived its candidates — which is why every mutation of
   // a field it reads must advance the epoch.
   FakeCtl ctl(4);
-  for (SimCtl::ProcView& v : ctl.views) v.runnable = true;
+  for (SimCtl::ProcView& v : ctl.views()) v.runnable = true;
   ctl.changed();
   LeaderSuppressAdversary leader(7);
   leader.pick(ctl);  // all four processes are laggards at round 0
-  ctl.views[0].hint.round = 1;
+  ctl.views()[0].hint.round = 1;
   std::set<ProcId> unannounced, announced;
   for (int i = 0; i < 200; ++i) unannounced.insert(leader.pick(ctl));
   ctl.changed();

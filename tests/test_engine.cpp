@@ -31,6 +31,7 @@
 #include "engine/trial.hpp"
 #include "fault/campaign.hpp"
 #include "fault/shrink.hpp"
+#include "schedule_hash.hpp"
 
 namespace bprc::engine {
 namespace {
@@ -266,22 +267,6 @@ TEST(EngineCampaign, ObserverSeesTheSameRunSequenceAtAnyJobsLevel) {
     return seen;
   };
   EXPECT_EQ(trace(1), trace(4));
-}
-
-/// FNV-1a over a recorded trace — same digest as test_replay.cpp pins.
-std::uint64_t schedule_hash(
-    const std::vector<ProcId>& schedule,
-    const std::vector<CrashPlanAdversary::Crash>& crashes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const ProcId p : schedule) {
-    h ^= static_cast<std::uint64_t>(p);
-    h *= 0x100000001B3ULL;
-  }
-  for (const auto& c : crashes) {
-    h ^= c.at_step * 31 + static_cast<std::uint64_t>(c.victim);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 TEST(EngineCampaign, GoldenScheduleHashesSurviveTheExecutorAtJobsFour) {

@@ -20,6 +20,7 @@
 #include "fault/protocols.hpp"
 #include "fault/repro.hpp"
 #include "fault/shrink.hpp"
+#include "schedule_hash.hpp"
 #include "shard/wire.hpp"
 #include "verify/weakmem/recorder.hpp"
 
@@ -190,22 +191,6 @@ TEST(Replay, RuntimeRecordReplaysToTheSameOutcomeDigest) {
     expect_identical(recorded.result, replayed.result);
     EXPECT_EQ(outcome_digest(replayed), outcome_digest(recorded)) << c.name;
   }
-}
-
-/// FNV-1a over the recorded pick sequence and crash events; the exact
-/// digest the performance work was validated against.
-std::uint64_t schedule_hash(const std::vector<ProcId>& schedule,
-                            const std::vector<CrashPlanAdversary::Crash>& crashes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const ProcId p : schedule) {
-    h ^= static_cast<std::uint64_t>(p);
-    h *= 0x100000001B3ULL;
-  }
-  for (const auto& c : crashes) {
-    h ^= c.at_step * 31 + static_cast<std::uint64_t>(c.victim);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 TEST(Replay, GoldenScheduleHashesArePinned) {

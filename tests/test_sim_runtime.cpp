@@ -8,8 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "explore/consensus_explore.hpp"
-#include "explore/token_game_explore.hpp"
 #include "registers/register.hpp"
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -221,7 +219,7 @@ TEST(SimRuntime, HintsVisibleToAdversary) {
     RoundRobinAdversary rr;
     explicit Spy(std::vector<std::int32_t>* r) : rounds(r) {}
     ProcId pick(SimCtl& ctl) override {
-      rounds->push_back(ctl.proc(0).hint.round);
+      rounds->push_back(ctl.view(0).hint.round);
       return rr.pick(ctl);
     }
     std::string name() const override { return "spy"; }
@@ -251,13 +249,12 @@ class EpochProbe final : public Adversary {
   EpochProbe(std::uint64_t crash_at, ProcId victim)
       : crash_at_(crash_at), victim_(victim) {}
   ProcId pick(SimCtl& ctl) override {
-    const std::uint64_t* epoch = ctl.view_epoch();
-    at_pick.push_back(*epoch);
+    at_pick.push_back(ctl.view_epoch());
     finished0.push_back(ctl.view(0).finished);
     if (ctl.step() == crash_at_) {
-      around_crash = {*epoch, 0};
+      around_crash = {ctl.view_epoch(), 0};
       ctl.crash(victim_);
-      around_crash[1] = *epoch;
+      around_crash[1] = ctl.view_epoch();
     }
     return inner_.pick(ctl);
   }
@@ -279,22 +276,21 @@ TEST(SimRuntime, ViewEpochAdvancesOnEveryViewChangeAStrategyReads) {
   auto owned = std::make_unique<EpochProbe>(/*crash_at=*/4, /*victim=*/1);
   EpochProbe& probe = *owned;
   SimRuntime rt(3, std::move(owned), 1);
-  const std::uint64_t* epoch = rt.view_epoch();
-  ASSERT_NE(epoch, nullptr);
+  const auto epoch = [&rt] { return rt.view_epoch(); };
 
   auto spawn = [&](ProcId p, std::function<void()> body) {
-    const std::uint64_t before = *epoch;
+    const std::uint64_t before = epoch();
     rt.spawn(p, std::move(body));
-    EXPECT_GT(*epoch, before) << "spawn " << p;
+    EXPECT_GT(epoch(), before) << "spawn " << p;
   };
   std::uint64_t before_hint = 0, after_hint = 0, body0_end = 0;
   spawn(0, [&] {
     rt.checkpoint({});
-    before_hint = *epoch;
+    before_hint = epoch();
     rt.publish_hint(Hint{});
-    after_hint = *epoch;
+    after_hint = epoch();
     rt.checkpoint({});
-    body0_end = *epoch;
+    body0_end = epoch();
   });
   for (const ProcId p : {1, 2}) {
     spawn(p, [&rt] {
@@ -318,12 +314,14 @@ TEST(SimRuntime, ViewEpochAdvancesOnEveryViewChangeAStrategyReads) {
   // step counts are not covered, so the epoch stands still ...
   EXPECT_EQ(probe.at_pick.back(), after_finish);
   // ... until the end-of-run unwind clears process 2's runnable flag.
-  EXPECT_GT(*epoch, probe.at_pick.back()) << "unwind_survivors";
+  EXPECT_GT(epoch(), probe.at_pick.back()) << "unwind_survivors";
 
-  // The epoch is published above the runnable mask's width too.
+  // The epoch moves above the runnable mask's width too.
   SimRuntime wide(kRunnableMaskBits + 6,
                   std::make_unique<RoundRobinAdversary>(), 1);
-  EXPECT_NE(wide.view_epoch(), nullptr);
+  const std::uint64_t wide_before = wide.view_epoch();
+  wide.spawn(kRunnableMaskBits + 5, [] {});
+  EXPECT_GT(wide.view_epoch(), wide_before);
 }
 
 TEST(SimRuntime, PendingOpVisibleToAdversary) {
@@ -332,7 +330,7 @@ TEST(SimRuntime, PendingOpVisibleToAdversary) {
     RoundRobinAdversary rr;
     explicit Spy(std::vector<std::int64_t>* p) : payloads(p) {}
     ProcId pick(SimCtl& ctl) override {
-      payloads->push_back(ctl.proc(0).pending.payload);
+      payloads->push_back(ctl.view(0).pending.payload);
       return rr.pick(ctl);
     }
     std::string name() const override { return "spy"; }
@@ -359,49 +357,6 @@ TEST(SimRuntime, RegistersThroughRuntimeCountSteps) {
   EXPECT_TRUE(read_back == 0 || read_back == 5);
   EXPECT_EQ(rt.steps(0), 1u);
   EXPECT_EQ(rt.steps(1), 1u);
-}
-
-TEST(SimRuntime, ExplorationIsIdenticalUnderResetReuse) {
-  // The exploration driver (src/explore/) recycles one SimRuntime across
-  // tens of thousands of executions via reset(); the state counts and the
-  // FNV digest over every executed pick and forced flip must match a
-  // fresh-runtime-per-execution exploration bit for bit — any divergence
-  // means reset() leaks state between runs.
-  const auto limits = [] {
-    explore::ExploreLimits l;
-    l.branch_depth = 12;
-    l.max_coin_flips = 2;
-    return l;
-  }();
-  const explore::ExploreResult reused =
-      explore::explore_token_game(2, 2, 4, limits, 7, /*reuse_runtime=*/true);
-  const explore::ExploreResult fresh =
-      explore::explore_token_game(2, 2, 4, limits, 7, /*reuse_runtime=*/false);
-  EXPECT_EQ(reused.stats.states_visited, fresh.stats.states_visited);
-  EXPECT_EQ(reused.stats.executions, fresh.stats.executions);
-  EXPECT_EQ(reused.stats.schedule_digest, fresh.stats.schedule_digest);
-  EXPECT_EQ(reused.stats.total_steps, fresh.stats.total_steps);
-}
-
-TEST(SimRuntime, ConsensusExplorationIsIdenticalUnderResetReuse) {
-  // Same invariant through the full consensus stack (registers, coins,
-  // per-process rngs): runtime reuse must not perturb the explored tree.
-  explore::ConsensusExploreConfig config;
-  config.protocol = "bprc";
-  config.inputs = {0, 1};
-  config.seed = 5;
-  config.limits.branch_depth = 8;
-  config.reuse_runtime = true;
-  const explore::ConsensusExploreReport reused =
-      explore::explore_consensus(config);
-  config.reuse_runtime = false;
-  const explore::ConsensusExploreReport fresh =
-      explore::explore_consensus(config);
-  EXPECT_EQ(reused.stats.states_visited, fresh.stats.states_visited);
-  EXPECT_EQ(reused.stats.executions, fresh.stats.executions);
-  EXPECT_EQ(reused.stats.schedule_digest, fresh.stats.schedule_digest);
-  EXPECT_TRUE(reused.ok());
-  EXPECT_TRUE(fresh.ok());
 }
 
 TEST(SimRuntimeDeath, NonOwnerWriteAborts) {

@@ -48,7 +48,6 @@ struct Options {
   bool claim41 = false;
   bool sleep_sets = true;
   bool state_cache = true;
-  bool reuse_runtime = true;
   bool isolate = false;
   std::vector<std::string> protocols;
   std::vector<int> inputs;  // non-empty = explore one input cell only
@@ -113,7 +112,7 @@ void usage(std::FILE* to) {
                "                     instead of all 2^n vectors\n"
                "  --isolate          run each execution in a fork()ed child\n"
                "                     first (crashes become worker-crash\n"
-               "                     findings)\n"
+               "                     findings); needs --jobs 1\n"
                "  --max-cache-mb M   seen-state cache budget; over it the\n"
                "                     cache evicts deep entries\n"
                "  --checkpoint-out F write a .bprc-frontier checkpoint to F\n"
@@ -128,9 +127,7 @@ void usage(std::FILE* to) {
                "  --out DIR          write .bprc-repro artifacts here\n"
                "  --stats            states/sec and prune-ratio report\n"
                "  --no-sleep-sets    disable partial-order reduction\n"
-               "  --no-state-cache   disable seen-state merging\n"
-               "  --fresh-runtime    new SimRuntime per execution (default\n"
-               "                     reuses one via reset())\n");
+               "  --no-state-cache   disable seen-state merging\n");
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -159,7 +156,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     else if (arg == "--stats") opt.stats = true;
     else if (arg == "--no-sleep-sets") opt.sleep_sets = false;
     else if (arg == "--no-state-cache") opt.state_cache = false;
-    else if (arg == "--fresh-runtime") opt.reuse_runtime = false;
     else if (arg == "--protocol") { if (!(v = need_value(i))) return false; opt.protocols.push_back(v); }
     else if (arg == "--n") { if (!number(i, &opt.n)) return false; }
     else if (arg == "--depth") { if (!number(i, &opt.depth)) return false; }
@@ -249,7 +245,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
     std::fprintf(stderr, "bprc_explore: --inputs wants %d values\n", opt.n);
     return false;
   }
-  if (opt.isolate && opt.jobs > 1) {
+  // Any --jobs but 1 (0 too: one worker per core) would grade on threads.
+  if (opt.isolate && opt.jobs != 1) {
     std::fprintf(stderr,
                  "bprc_explore: --isolate forks per execution; use --jobs 1\n");
     return false;
@@ -363,7 +360,7 @@ ProtocolOutcome explore_one_protocol(const Options& opt,
                                      std::size_t* artifact_index) {
   const ExploreLimits limits = build_limits(opt);
   const auto reports = explore_consensus_all_inputs(
-      name, opt.n, opt.seed, limits, opt.reuse_runtime, opt.space);
+      name, opt.n, opt.seed, limits, opt.space);
   ProtocolOutcome outcome;
   for (const ConsensusExploreReport& report : reports) {
     outcome.violations += report.violations.size();
@@ -414,8 +411,7 @@ int run_claim41(const Options& opt) {
                              static_cast<std::uint64_t>(opt.moves);
   if (limits.branch_depth < need) limits.branch_depth = need;
   const ExploreResult result =
-      explore_token_game(opt.n, opt.strip_k, opt.moves, limits, opt.seed,
-                         opt.reuse_runtime);
+      explore_token_game(opt.n, opt.strip_k, opt.moves, limits, opt.seed);
   std::printf("claim41 n=%d K=%d moves=%d: %llu states, %llu executions%s\n",
               opt.n, opt.strip_k, opt.moves,
               static_cast<unsigned long long>(result.stats.states_visited),
@@ -443,7 +439,6 @@ int run_single_cell(const Options& opt, const std::string& name) {
   config.seed = opt.seed;
   config.space = opt.space;
   config.limits = build_limits(opt);
-  config.reuse_runtime = opt.reuse_runtime;
 
   FrontierOptions fopts;
   fopts.checkpoint_path = opt.checkpoint_out;

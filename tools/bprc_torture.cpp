@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/adversaries.hpp"
 #include "engine/executor.hpp"
 #include "fault/campaign.hpp"
 #include "fault/native.hpp"
@@ -323,7 +324,7 @@ bool validate_names(const Options& opt) {
       return false;
     }
   }
-  const auto& known_advs = torture_adversary_names();
+  const auto& known_advs = engine::adversary_names();
   for (const std::string& a : opt.adversaries) {
     if (std::find(known_advs.begin(), known_advs.end(), a) ==
         known_advs.end()) {
@@ -796,7 +797,7 @@ int main(int argc, char** argv) {
       std::printf(" %s", name.c_str());
     }
     std::printf("\nadversaries:");
-    for (const auto& name : torture_adversary_names()) {
+    for (const auto& name : engine::adversary_names()) {
       std::printf(" %s", name.c_str());
     }
     std::printf("\n");
@@ -820,7 +821,7 @@ int main(int argc, char** argv) {
       }
     }
     if (opt.list_adversaries) {
-      for (const auto& name : torture_adversary_names()) {
+      for (const auto& name : engine::adversary_names()) {
         std::printf("%s\n", name.c_str());
       }
     }
