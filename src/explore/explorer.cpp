@@ -102,7 +102,8 @@ class Explorer final : public FlipTape, public TraceSink {
     BPRC_REQUIRE(nprocs_ > 0, "explore target needs at least one process");
     BPRC_REQUIRE(nprocs_ <= kRunnableMaskBits,
                  "explorer masks cap the process count");
-    BPRC_REQUIRE(!limits_.state_cache || limits_.branch_depth <= 255,
+    BPRC_REQUIRE(!limits_.state_cache ||
+                     limits_.branch_depth <= kMaxCachedBranchDepth,
                  "seen-state depth tags are 8-bit: branch_depth <= 255");
     BPRC_REQUIRE(!limits_.isolate_leaves || limits_.grade_jobs <= 1,
                  "isolated exploration forks: grade_jobs must be 1");

@@ -45,6 +45,10 @@ class SimRuntime;
 
 namespace explore {
 
+/// The deepest branch region the seen-state cache can tag (its depth
+/// tags are 8-bit); deeper explorations need state_cache off.
+inline constexpr std::uint64_t kMaxCachedBranchDepth = 255;
+
 /// Scope and safety-valve bounds for one exploration.
 struct ExploreLimits {
   /// Scheduling points explored with full branching; the run continues

@@ -27,7 +27,8 @@ bool read_action(record::Reader& r, Recording* rec) {
   return true;
 }
 
-bool read_line(record::Reader& r, Recording* rec, std::size_t* actions) {
+bool read_line(record::Reader& r, Recording* rec, std::size_t* locations,
+               std::size_t* actions) {
   const std::string_view key = r.key();
   if (key == "act") return read_action(r, rec);
   if (key == "loc") {
@@ -52,8 +53,7 @@ bool read_line(record::Reader& r, Recording* rec, std::size_t* actions) {
     rec->logs.resize(k);
     return true;
   }
-  std::size_t count = 0;
-  if (key == "locations") return r.num(&count) && r.eol();
+  if (key == "locations") return r.num(locations) && r.eol();
   if (key == "actions") return r.num(actions) && r.eol();
   return r.fail("unknown key: " + std::string(key));
 }
@@ -87,12 +87,18 @@ std::optional<Recording> load_recording(const std::string& path,
   if (!text.has_value()) return std::nullopt;
   record::Reader r(*text, kFormat, err);
   Recording rec;
-  std::size_t actions = 0;
+  std::size_t locations = 0, actions = 0;
   if (!r.header(kVersion)) return std::nullopt;
   while (r.next() && !r.at_end()) {
-    if (!read_line(r, &rec, &actions)) return std::nullopt;
+    if (!read_line(r, &rec, &locations, &actions)) return std::nullopt;
   }
   if (!r.finish()) return std::nullopt;
+  if (rec.locations.size() != locations) {
+    r.fail("the locations line declares " + std::to_string(locations) +
+           " locations, the record has " +
+           std::to_string(rec.locations.size()) + " loc lines");
+    return std::nullopt;
+  }
   if (rec.total_actions() != actions) {
     r.fail_record("action count does not match the actions line");
     return std::nullopt;

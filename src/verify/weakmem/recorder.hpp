@@ -82,6 +82,7 @@ class WeakMemRecorder final : public MemActionSink {
 /// (util/record_text.hpp; unknown keys are refused): `case`, `threads`,
 /// `locations`, one `loc id initial name` per location, `actions`, one
 /// `act thread seq location L|S|R order value rf mo` per action, `end`.
+/// The two counts must match the `loc` and `act` lines.
 /// Returns false on I/O failure.
 bool save_recording(const Recording& rec, const std::string& path);
 

@@ -275,57 +275,139 @@ bool sweep(const Recording& rec, const Ids& ids,
   return order.size() == ids.size();
 }
 
-/// A dense id of an action the sweep left unordered; also an edge offset.
+/// The sweep run backwards over what it left unordered: Kahn's sort of
+/// the reversed relation, again without building it. Every unordered
+/// action but a thread's last has a po successor, so only thread tails
+/// can go, and an action goes once none of its successors is left: a
+/// load of version v once the write of v + 1 is gone (its fr successor);
+/// a write of v once the write of v + 1 is gone and every unordered load
+/// of v is (its mo and rf successors). Writes on a location thus go in
+/// decreasing version order, so one gone-from version per location and
+/// `index[l].loads` (which the sweep left counting the unordered loads,
+/// and which this consumes) track both conditions, and a blocked tail
+/// waits on a wake list or a drain slot as in the sweep. What is left,
+/// thread t's actions in [head[t], stop[t]), is the core: the actions
+/// on a cycle or on a path into one. Costs O(m) for m unordered actions.
+void peel(const Recording& rec, std::vector<LocationIndex>& index,
+          const std::vector<std::size_t>& head,
+          std::vector<std::size_t>& stop) {
+  struct Location {
+    std::uint64_t gone_from;           ///< least version peeled, W + 1 if none
+    std::size_t drainer = kNone;       ///< tail write waiting on loads
+    std::vector<std::size_t> waiting;  ///< [v]: first tail waiting for v + 1
+  };
+  const std::size_t threads = rec.logs.size();
+  stop.resize(threads);
+  for (std::size_t t = 0; t < threads; ++t) stop[t] = rec.logs[t].size();
+  std::vector<std::size_t> next_waiter(threads, kNone);
+  std::vector<Location> locs(index.size());
+  for (std::size_t l = 0; l < index.size(); ++l) {
+    locs[l].gone_from = index[l].writers.size() + 1;
+    locs[l].waiting.assign(index[l].loads.size(), kNone);
+  }
+  std::vector<std::size_t> peelable;  // threads whose tail can go
+
+  // Whether t's tail can go; if not, files it on the wake list or the
+  // drain slot of the condition it lacks.
+  const auto consider = [&](std::size_t t) {
+    if (stop[t] == head[t]) return false;
+    const MemAction& a = rec.logs[t][stop[t] - 1];
+    const auto l = static_cast<std::size_t>(a.location);
+    Location& loc = locs[l];
+    const std::uint64_t v = a.kind == MemAction::Kind::kLoad ? a.rf : a.mo;
+    if (loc.gone_from > v + 1) {
+      next_waiter[t] = loc.waiting[v];
+      loc.waiting[v] = t;
+      return false;
+    }
+    if (a.kind != MemAction::Kind::kLoad && index[l].loads[v] > 0) {
+      loc.drainer = t;
+      return false;
+    }
+    return true;
+  };
+  const auto wake = [&](std::size_t w) {
+    if (consider(w)) peelable.push_back(w);
+  };
+
+  for (std::size_t t = 0; t < threads; ++t) wake(t);
+  while (!peelable.empty()) {
+    const std::size_t t = peelable.back();
+    peelable.pop_back();
+    do {
+      const MemAction& a = rec.logs[t][--stop[t]];
+      const auto l = static_cast<std::size_t>(a.location);
+      Location& loc = locs[l];
+      if (a.kind == MemAction::Kind::kLoad) {
+        if (--index[l].loads[a.rf] == 0 && a.rf + 1 == loc.gone_from &&
+            loc.drainer != kNone) {
+          wake(std::exchange(loc.drainer, kNone));
+        }
+      } else {
+        loc.gone_from = a.mo;
+        for (std::size_t w = loc.waiting[a.mo - 1]; w != kNone;) {
+          const std::size_t next = next_waiter[w];
+          wake(w);
+          w = next;
+        }
+      }
+    } while (consider(t));
+  }
+}
+
+/// A dense id of a core action; also an edge offset.
 using Node = std::uint32_t;
 constexpr Node kNoNode = UINT32_MAX;
 
-/// The actions the sweep left unordered, thread t's from seq `live[t]` on,
+/// The core the peel left, thread t's actions in [head[t], stop[t]),
 /// numbered densely in thread-major order. The numbering keeps the order
 /// of global ids, so a witness built on it names the same cycle.
 struct Dense {
   std::vector<Node> base;  ///< first id per thread, then the total
-  const std::vector<std::size_t>& live;
+  const std::vector<std::size_t>& head;
+  const std::vector<std::size_t>& stop;
 
-  Dense(const Recording& rec, const std::vector<std::size_t>& live_from)
-      : base(rec.logs.size() + 1, 0), live(live_from) {
+  Dense(const std::vector<std::size_t>& head_at,
+        const std::vector<std::size_t>& stop_at)
+      : base(head_at.size() + 1, 0), head(head_at), stop(stop_at) {
     std::size_t total = 0;
-    for (std::size_t t = 0; t < rec.logs.size(); ++t) {
+    for (std::size_t t = 0; t < head.size(); ++t) {
       base[t] = static_cast<Node>(total);
-      total += rec.logs[t].size() - live[t];
+      total += stop[t] - head[t];
       // At most three edges per action (see for_each_edge): every id and
       // every edge offset fits a Node.
       BPRC_REQUIRE(total <= (kNoNode - 1) / 3,
-                   "too many unordered actions for a cycle witness");
+                   "too many core actions for a cycle witness");
     }
     base.back() = static_cast<Node>(total);
   }
   std::size_t size() const { return base.back(); }
+  bool contains(const MemAction& a) const {
+    const auto t = static_cast<std::size_t>(a.thread);
+    return a.seq >= head[t] && a.seq < stop[t];
+  }
   Node of(const MemAction& a) const {
     const auto t = static_cast<std::size_t>(a.thread);
-    return base[t] + static_cast<Node>(a.seq - live[t]);
+    return base[t] + static_cast<Node>(a.seq - head[t]);
   }
   const MemAction& action(const Recording& rec, Node id) const {
     const auto t = static_cast<std::size_t>(
         std::upper_bound(base.begin(), base.end(), id) - base.begin() - 1);
-    return rec.logs[t][live[t] + id - base[t]];
+    return rec.logs[t][head[t] + id - base[t]];
   }
 };
 
-/// Calls edge(a, b) for every po, rf, fr and mo edge between actions the
-/// sweep left unordered, by dense id. An ordered action lies on no cycle
-/// and no edge leads from an unordered action to it, so this subgraph has
-/// every cycle and every path between unordered actions. Each action is
-/// the head of at most three edges: po and rf and fr for a load, po and
-/// rf and mo for an RMW (whose fr overwriter is itself), po and mo for a
-/// store. The order is fixed: it decides which cycle edge a witness
-/// reports and the path it prints.
+/// Calls edge(a, b) for every po, rf, fr and mo edge between core actions,
+/// by dense id. Every cycle lies in the core, and every path between two
+/// actions of one cycle's component, so this subgraph has all the witness
+/// needs; the edges it drops lead out of the core and lie on no cycle.
+/// Each action is the head of at most three edges: po and rf and fr for
+/// a load, po and rf and mo for an RMW (whose fr overwriter is itself),
+/// po and mo for a store. The order is fixed: it decides which cycle edge
+/// a witness reports and the path it prints.
 template <class Edge>
 void for_each_edge(const Recording& rec, const Dense& ids,
                    const std::vector<LocationIndex>& index, Edge&& edge) {
-  const std::vector<std::size_t>& live = ids.live;
-  const auto unordered = [&](const MemAction& a) {
-    return a.seq >= live[static_cast<std::size_t>(a.thread)];
-  };
   // po: consecutive actions of one thread.
   for (std::size_t t = 0; t < rec.logs.size(); ++t) {
     for (Node id = ids.base[t] + 1; id < ids.base[t + 1]; ++id) {
@@ -334,22 +416,23 @@ void for_each_edge(const Recording& rec, const Dense& ids,
   }
   for (std::size_t t = 0; t < rec.logs.size(); ++t) {
     Node id = ids.base[t];
-    for (std::size_t i = live[t]; i < rec.logs[t].size(); ++i, ++id) {
+    for (std::size_t i = ids.head[t]; i < ids.stop[t]; ++i, ++id) {
       const MemAction& a = rec.logs[t][i];
       const auto& writers = index[static_cast<std::size_t>(a.location)].writers;
       if (a.kind != MemAction::Kind::kStore) {
         // rf: the write this read observed precedes it.
-        if (a.rf >= 1 && unordered(*writers[a.rf - 1])) {
+        if (a.rf >= 1 && ids.contains(*writers[a.rf - 1])) {
           edge(ids.of(*writers[a.rf - 1]), id);
         }
         // fr: this read precedes the write that overwrote what it saw. For
         // an RMW that overwriter is the RMW itself — no edge.
-        if (a.rf < writers.size() && writers[a.rf] != &a) {
+        if (a.rf < writers.size() && writers[a.rf] != &a &&
+            ids.contains(*writers[a.rf])) {
           edge(id, ids.of(*writers[a.rf]));
         }
       }
       if (a.kind != MemAction::Kind::kLoad && a.mo >= 2 &&
-          unordered(*writers[a.mo - 2])) {
+          ids.contains(*writers[a.mo - 2])) {
         // mo: version v-1 precedes version v.
         edge(ids.of(*writers[a.mo - 2]), id);
       }
@@ -357,7 +440,7 @@ void for_each_edge(const Recording& rec, const Dense& ids,
   }
 }
 
-/// The happens-before edges among the unordered actions as one flat CSR
+/// The happens-before edges among the core actions as one flat CSR
 /// array: the successors of a are succ[first[a] .. first[a + 1]), in
 /// for_each_edge's order.
 struct Graph {
@@ -448,12 +531,18 @@ std::vector<Node> find_path(const Graph& g, Node from, Node to, Node* parent,
 /// Describes the happens-before cycle closed by the first edge a→b, in
 /// (a, edge) order, whose endpoints share a strongly connected component:
 /// b ⇝ a, so a→b closes a cycle and no SC total order explains the run.
-/// The graph spans the actions left unordered from `live` on; its CSR
-/// array, Tarjan and BFS share one scratch allocation sized to them.
+/// The graph spans the core the peel leaves of the actions unordered
+/// from `head` on; its CSR array, Tarjan and BFS share one scratch
+/// allocation sized to the core. The peel drops only actions in trivial
+/// components, and every action on a path into a cycle stays, so the
+/// least-id action on a cycle, its first in-component edge and the BFS
+/// path are those the whole unordered region would give.
 std::string cycle_witness(const Recording& rec,
-                          const std::vector<LocationIndex>& index,
-                          const std::vector<std::size_t>& live) {
-  const Dense ids(rec, live);
+                          std::vector<LocationIndex>& index,
+                          const std::vector<std::size_t>& head) {
+  std::vector<std::size_t> stop;
+  peel(rec, index, head, stop);
+  const Dense ids(head, stop);
   const std::size_t n = ids.size();
   const auto scratch = std::make_unique_for_overwrite<Node[]>(10 * n + 1);
   Node* const first = scratch.get();    // n + 1
@@ -535,7 +624,8 @@ SCResult check_sc(const Recording& rec) {
   std::vector<std::size_t> head;
   if (!sweep(rec, ids, index, head, result.order)) {
     // A stall leaves actions unordered exactly when po ∪ rf ∪ mo ∪ fr has
-    // a cycle; only then is the edge graph built, to name it.
+    // a cycle; only then is the edge graph built, on the cycle's core, to
+    // name it.
     result.order = {};
     result.witness = cycle_witness(rec, index, head);
     return result;

@@ -38,14 +38,25 @@
 // the value of the write of v (or the initial value when v = 0); an RMW
 // writes version rf + 1, so it too reads the latest write.
 //
-// When the sweep stalls, and only then, the m actions it left unordered
-// are numbered densely and the relation among them is built as one flat
-// CSR edge array of 32-bit ids (at most 3m edges; one scratch allocation
-// of about 10m ids holds it and the passes over it); a
-// strongly-connected-component pass picks the first edge a→b (by source
-// id, then edge order) whose endpoints share a component, and the
-// checker reports the cycle path b ⇝ a → b as a human-readable witness.
-// That costs O(m).
+// When the sweep stalls, and only then, the checker runs it backwards
+// over the m actions it left unordered: from the back of each thread it
+// peels every action that reaches no cycle. That is Kahn's sort of the
+// reversed relation, again without building it: a load of version v
+// goes once the write of v + 1 is gone, a write of v once that write and
+// every unordered load of v are, so writes go in decreasing version
+// order and one version per location, a wake list per version and a
+// drain slot per location track it. What is left is the core, the k
+// actions on a cycle or on a path into one (a handful when the cycle is
+// early and the rest of the run follows it). Only the core is numbered
+// densely and its relation built, as one flat CSR edge array of 32-bit
+// ids (at most 3k edges; one scratch allocation of about 10k ids holds
+// it and the passes over it); a strongly-connected-component pass picks
+// the first edge a→b (by source id, then edge order) whose endpoints
+// share a component, and the checker reports the cycle path b ⇝ a → b as
+// a human-readable witness. The peel removes only actions that lie on no
+// cycle and on no path between two actions of one, so that edge and
+// path are the ones the whole unordered region gives. That costs O(m)
+// for the peel and O(k) for the witness graph.
 //
 // Scope: this is a *dynamic* analysis of one observed execution, like
 // TSAN — it proves this run SC or exhibits this run's violation; it does
@@ -78,7 +89,7 @@ struct SCResult {
 /// Runs the full analysis on a recording.
 SCResult check_sc(const Recording& rec);
 
-/// Renders one action as "T2#5 W x=3 @v7(release)" for witnesses.
+/// Renders one action as "T2#5 W x=3 @v7 (release)" for witnesses.
 std::string describe_action(const Recording& rec, const MemAction& a);
 
 }  // namespace bprc::weakmem

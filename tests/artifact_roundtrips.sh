@@ -302,6 +302,11 @@ EOF
 --workers bprc_torture --workers 100000 --seeds abc
 --jobs bprc_explore --jobs 100000 --depth abc
 --isolate bprc_explore --protocol bprc --n 2 --inputs 0,1 --isolate --jobs 0
+--depth bprc_explore --protocol bprc --n 2 --inputs 0,1 --depth 300
+--moves bprc_explore --claim41 --n 8 --moves 40
+--max-cache-mb bprc_explore --protocol bprc --n 2 --inputs 0,1 --max-cache-mb 17592186044417
+--n bprc_torture --smoke --n 0
+--n bprc_torture --n 100000 --seeds abc
 EOF
     ;;
 

@@ -218,6 +218,45 @@ TEST(WeakMem, LoadRejectsGarbage) {
   std::remove(path.c_str());
 }
 
+TEST(WeakMem, LoadRejectsAMismatchedLocationCount) {
+  WeakMemRecorder rec(2);
+  const int x = rec.on_location("x", 0);
+  const int y = rec.on_location("y", 0);
+  act(rec, 0, x, kStore, 1, 0, 1);
+  act(rec, 0, y, kLoad, 0, 0, 0);
+  act(rec, 1, y, kStore, 1, 0, 1);
+  act(rec, 1, x, kLoad, 0, 0, 0);
+  const std::string path = testing::TempDir() + "weakmem_locations.bprc-weakmem";
+  ASSERT_TRUE(save_recording(rec.recording(), path));
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  // The mismatch is only known at `end`, the record's last line.
+  const std::string end_line =
+      "line " + std::to_string(std::count(text.begin(), text.end(), '\n')) +
+      ":";
+  for (const char* count : {"locations 7", "locations 1", "locations 0"}) {
+    SCOPED_TRACE(count);
+    std::string edited = text;
+    const std::size_t at = edited.find("\nlocations 2\n");
+    ASSERT_NE(at, std::string::npos);
+    edited.replace(at + 1, std::string("locations 2").size(), count);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << edited;
+    }
+    std::string err;
+    EXPECT_FALSE(load_recording(path, &err).has_value());
+    EXPECT_NE(err.find(end_line), std::string::npos) << err;
+    EXPECT_NE(err.find("locations line"), std::string::npos) << err;
+  }
+  std::remove(path.c_str());
+}
+
 // ---- golden outputs ------------------------------------------------------
 // Exact witness text and SC order for fixed recordings. These pin the
 // checker's observable output byte for byte: which cycle edge it reports,
@@ -493,11 +532,14 @@ std::string reference_witness(const Recording& rec) {
 /// A seeded recording of one interleaving: `actions` loads, stores and
 /// RMWs by `threads` threads over `locations` multi-writer locations. A
 /// load reads the latest version, except one in `stale_one_in` (0: none)
-/// reads a random older one, which may close a cycle. `plant` appends a
-/// store-buffering cycle on two extra locations.
+/// reads a random older one, which may close a cycle. For each p in
+/// `plants`, a store-buffering cycle on two extra locations is planted
+/// before the p-th action (p == actions: after the last); the traffic
+/// after it also runs over those locations.
 Recording random_recording(std::uint64_t seed, std::size_t threads,
                            std::size_t locations, std::size_t actions,
-                           std::uint64_t stale_one_in, bool plant) {
+                           std::uint64_t stale_one_in,
+                           const std::vector<std::size_t>& plants = {}) {
   Recording rec;
   rec.logs.resize(threads);
   std::vector<std::vector<std::uint64_t>> versions;  // payload per version
@@ -525,9 +567,23 @@ Recording random_recording(std::uint64_t seed, std::size_t threads,
     rec.logs[t].push_back(a);
   };
   Rng rng(seed);
+  const auto plant_due = [&](std::size_t i) {
+    for (const std::size_t p : plants) {
+      if (p != i) continue;
+      // A: W x; R y (initial)   B: W y; R x (initial)
+      const int x = add_location(0), y = add_location(0);
+      const std::size_t a = rng.below(threads);
+      const std::size_t b = (a + 1 + rng.below(threads - 1)) % threads;
+      append(a, x, kStore, 1, 0);
+      append(b, y, kStore, 1, 0);
+      append(a, y, kLoad, 0, 0);
+      append(b, x, kLoad, 0, 0);
+    }
+  };
   for (std::size_t i = 0; i < actions; ++i) {
+    plant_due(i);
     const std::size_t t = rng.below(threads);
-    const auto l = static_cast<int>(rng.below(locations));
+    const auto l = static_cast<int>(rng.below(versions.size()));
     const auto& v = versions[static_cast<std::size_t>(l)];
     const std::uint64_t latest = v.size() - 1;
     switch (rng.below(3)) {
@@ -541,15 +597,7 @@ Recording random_recording(std::uint64_t seed, std::size_t threads,
       default: append(t, l, kRmw, rng.below(4), latest); break;
     }
   }
-  if (plant) {  // A: W x; R y (initial)   B: W y; R x (initial)
-    const int x = add_location(0), y = add_location(0);
-    const std::size_t a = rng.below(threads);
-    const std::size_t b = (a + 1 + rng.below(threads - 1)) % threads;
-    append(a, x, kStore, 1, 0);
-    append(b, y, kStore, 1, 0);
-    append(a, y, kLoad, 0, 0);
-    append(b, x, kLoad, 0, 0);
-  }
+  plant_due(actions);
   return rec;
 }
 
@@ -572,9 +620,14 @@ void expect_matches_reference(const Recording& rec, std::size_t* sc,
   }
 }
 
+// Seeds 1–240 plant their cycle, if any, at the end of the logs. Seeds
+// 241–360 plant one or two mid-log, the second at or after the first,
+// so most of the recording is left unordered behind a cycle and the
+// checker peels it before building its witness graph; the witness must
+// still name the reference's least-id cycle, edge and path.
 TEST(WeakMemDifferential, SweepMatchesExplicitGraphKahn) {
   std::size_t sc = 0, cyclic = 0;
-  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 360; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng shape(seed * 0x9E3779B97F4A7C15ULL);
     const std::size_t threads = 2 + shape.below(7);  // 2..8
@@ -582,28 +635,51 @@ TEST(WeakMemDifferential, SweepMatchesExplicitGraphKahn) {
     const std::size_t actions = 1 + shape.below(160);
     constexpr std::uint64_t kStaleOneIn[] = {0, 40, 6};
     const std::uint64_t stale_one_in = kStaleOneIn[seed % 3];
-    const bool plant = seed % 5 == 0;
+    std::vector<std::size_t> plants;
+    if (seed > 240) {
+      plants.push_back(shape.below(actions / 2 + 1));
+      if (seed % 2 == 0) {
+        plants.push_back(plants[0] + shape.below(actions - plants[0] + 1));
+      }
+    } else if (seed % 5 == 0) {
+      plants.push_back(actions);
+    }
     expect_matches_reference(random_recording(seed, threads, locations,
-                                               actions, stale_one_in, plant),
+                                               actions, stale_one_in, plants),
                              &sc, &cyclic);
   }
-  // Both verdicts must be well represented, or the comparison is weak.
+  // Both verdicts must be well represented, or the comparison is weak:
+  // at least 60 of each among seeds 1–240, and all 120 mid-log plants.
   EXPECT_GE(sc, 60u);
-  EXPECT_GE(cyclic, 60u);
+  EXPECT_GE(cyclic, 60u + 120u);
 }
 
 TEST(WeakMemDifferential, SweepMatchesAtTheArtifactThreadCap) {
   std::size_t sc = 0, cyclic = 0;
   expect_matches_reference(
-      random_recording(7, kMaxArtifactThreads, 3, 3 * kMaxArtifactThreads, 0,
-                       false),
+      random_recording(7, kMaxArtifactThreads, 3, 3 * kMaxArtifactThreads, 0),
       &sc, &cyclic);
   expect_matches_reference(
       random_recording(8, kMaxArtifactThreads, 3, 3 * kMaxArtifactThreads, 0,
-                       true),
+                       {3 * kMaxArtifactThreads}),
       &sc, &cyclic);
   EXPECT_EQ(sc, 1u);
   EXPECT_EQ(cyclic, 1u);
+}
+
+// A few thousand actions with the cycle in the first tenth, so the peel
+// has long chains to remove. The reference Tarjan recurses once per
+// action on a path, so the recording stays this small.
+TEST(WeakMemDifferential, WitnessMatchesWithTheCycleEarlyInALongRecording) {
+  std::size_t sc = 0, cyclic = 0;
+  for (const std::uint64_t stale_one_in : {0, 40}) {
+    SCOPED_TRACE("stale one in " + std::to_string(stale_one_in));
+    expect_matches_reference(
+        random_recording(11 + stale_one_in, 6, 4, 3000, stale_one_in, {250}),
+        &sc, &cyclic);
+  }
+  EXPECT_EQ(sc, 0u);
+  EXPECT_EQ(cyclic, 2u);
 }
 
 TEST(WeakMem, DescribeActionIsReadable) {

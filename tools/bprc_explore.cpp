@@ -83,7 +83,8 @@ void usage(std::FILE* to) {
                "  --protocol NAME    protocol to explore (repeatable)\n"
                "  --n N              process count (default 2)\n"
                "  --depth D          branch region: scheduling points\n"
-               "                     explored with full branching\n"
+               "                     explored with full branching (at\n"
+               "                     most 255 unless --no-state-cache)\n"
                "  --coin-flips C     coin flips branched both ways\n"
                "  --register-semantics NAME\n"
                "                     explore under atomic|regular|safe\n"
@@ -243,6 +244,32 @@ bool parse_args(int argc, char** argv, Options& opt) {
   if (!opt.inputs.empty() &&
       opt.inputs.size() != static_cast<std::size_t>(opt.n)) {
     std::fprintf(stderr, "bprc_explore: --inputs wants %d values\n", opt.n);
+    return false;
+  }
+  if (opt.claim41 && opt.moves < 0) {
+    std::fprintf(stderr, "bprc_explore: --moves must not be negative\n");
+    return false;
+  }
+  // The seen-state cache tags depths in 8 bits. --claim41 raises the
+  // branch region to the game's n × moves scheduling points.
+  const std::uint64_t game_depth =
+      opt.claim41 ? static_cast<std::uint64_t>(opt.n) *
+                        static_cast<std::uint64_t>(opt.moves)
+                  : 0;
+  const std::uint64_t depth = std::max(opt.depth, game_depth);
+  if (opt.state_cache && depth > kMaxCachedBranchDepth) {
+    std::fprintf(stderr,
+                 "bprc_explore: %s: %llu scheduling points exceed %llu, the "
+                 "seen-state cache's limit (add --no-state-cache)\n",
+                 depth == opt.depth ? "--depth" : "--moves",
+                 static_cast<unsigned long long>(depth),
+                 static_cast<unsigned long long>(kMaxCachedBranchDepth));
+    return false;
+  }
+  if (opt.max_cache_mb > (UINT64_MAX >> 20)) {
+    std::fprintf(stderr,
+                 "bprc_explore: --max-cache-mb %llu overflows a byte count\n",
+                 static_cast<unsigned long long>(opt.max_cache_mb));
     return false;
   }
   // Any --jobs but 1 (0 too: one worker per core) would grade on threads.

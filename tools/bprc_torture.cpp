@@ -168,7 +168,7 @@ void usage(std::FILE* to) {
                "                     K=2 cycle=3 slots=3 b=4 mscale=4).\n"
                "                     Space-insensitive protocols are skipped\n"
                "                     (and counted) at non-default budgets\n"
-               "  --n N              process count (repeatable)\n"
+               "  --n N              process count, 1..1024 (repeatable)\n"
                "  --seeds K          seeds per sweep cell\n"
                "  --seed S           base seed (default 1)\n"
                "  --budget STEPS     per-run step budget\n"
@@ -254,8 +254,14 @@ bool parse_args(int argc, char** argv, Options& opt) {
     }
     else if (arg == "--adversary") { if (!(v = need_value(i))) return false; opt.adversaries.push_back(v); }
     else if (arg == "--n") {
+      // A process count: the native lane starts one thread per process.
       int n = 0;
       if (!number(i, &n)) return false;
+      if (n < 1 || static_cast<unsigned>(n) > engine::kMaxJobs) {
+        std::fprintf(stderr, "bprc_torture: --n %d is outside [1, %u]\n", n,
+                     engine::kMaxJobs);
+        return false;
+      }
       opt.ns.push_back(n);
     }
     else if (arg == "--seeds") { if (!number(i, &opt.seeds)) return false; }
