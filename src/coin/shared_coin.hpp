@@ -20,6 +20,7 @@
 #include "runtime/runtime.hpp"
 #include "snapshot/scannable_memory.hpp"
 #include "util/assert.hpp"
+#include "util/latch_max.hpp"
 
 namespace bprc {
 
@@ -60,7 +61,7 @@ class SharedCoin {
       hint.counter = own;
       rt_.publish_hint(hint);
       walk_steps_.fetch_add(1, std::memory_order_relaxed);
-      track_magnitude(own);
+      latch_max(max_magnitude_, own < 0 ? -own : own);
     }
   }
 
@@ -85,14 +86,6 @@ class SharedCoin {
   }
 
  private:
-  void track_magnitude(std::int64_t c) {
-    const std::int64_t mag = c < 0 ? -c : c;
-    std::int64_t cur = max_magnitude_.load(std::memory_order_relaxed);
-    while (cur < mag && !max_magnitude_.compare_exchange_weak(
-                            cur, mag, std::memory_order_relaxed)) {
-    }
-  }
-
   Runtime& rt_;
   CoinParams params_;
   ScannableMemory<std::int64_t> counters_;

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "util/assert.hpp"
+#include "util/latch_max.hpp"
 
 namespace bprc {
 
@@ -29,16 +30,9 @@ AspnesHerlihyConsensus::AspnesHerlihyConsensus(Runtime& rt, CoinParams coin,
 }
 
 void AspnesHerlihyConsensus::track(const AHRecord& rec) {
-  max_round_.store(
-      std::max(max_round_.load(std::memory_order_relaxed), rec.round),
-      std::memory_order_relaxed);
+  latch_max(max_round_, rec.round);
   for (const AHRoundCoin& c : rec.coins) {
-    const std::int64_t counter = c.counter;
-    const std::int64_t mag = counter < 0 ? -counter : counter;
-    std::int64_t cur = max_counter_.load(std::memory_order_relaxed);
-    while (cur < mag && !max_counter_.compare_exchange_weak(
-                            cur, mag, std::memory_order_relaxed)) {
-    }
+    latch_max(max_counter_, c.counter < 0 ? -c.counter : c.counter);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "util/assert.hpp"
+#include "util/latch_max.hpp"
 
 namespace bprc {
 
@@ -29,13 +30,6 @@ BPRCRecord initial_record(const BPRCParams& p) {
   rec.coins = CoinSlots::with_slot_count(physical_slots(p));
   rec.edges = initial_edge_counters(p.n);
   return rec;
-}
-
-void latch_max(std::atomic<std::int64_t>& a, std::int64_t v) {
-  std::int64_t cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
 }
 
 }  // namespace
@@ -189,14 +183,6 @@ void BPRCConsensus::publish(ProcId me, const BPRCRecord& rec,
   rt_.publish_hint(hint);
 }
 
-void BPRCConsensus::track_counter(std::int64_t c) {
-  const std::int64_t mag = c < 0 ? -c : c;
-  std::int64_t cur = max_counter_.load(std::memory_order_relaxed);
-  while (cur < mag && !max_counter_.compare_exchange_weak(
-                          cur, mag, std::memory_order_relaxed)) {
-  }
-}
-
 int BPRCConsensus::propose(int input) {
   BPRC_REQUIRE(input == 0 || input == 1, "input must be a bit");
   const ProcId me = rt_.self();
@@ -238,9 +224,7 @@ int BPRCConsensus::propose(int input) {
       rec.pref = *agreed;
       do_inc(me, rec, view.graph, view.dists);
       ++round;
-      max_round_.store(
-          std::max(max_round_.load(std::memory_order_relaxed), round),
-          std::memory_order_relaxed);
+      latch_max(max_round_, round);
       publish(me, rec, round, 0, false);
       mem_.write(rec);
       continue;
@@ -262,7 +246,7 @@ int BPRCConsensus::propose(int input) {
       publish(me, rec, round, flip ? 1 : -1, false);
       std::int64_t& slot = rec.coins.next_slot();
       slot = walk_step(slot, flip, params_.coin);
-      track_counter(slot);
+      latch_max(max_counter_, slot < 0 ? -slot : slot);
       flips_.fetch_add(1, std::memory_order_relaxed);
       mem_.write(rec, /*payload=*/flip ? 1 : -1);
       publish(me, rec, round, 0, false);
@@ -273,9 +257,7 @@ int BPRCConsensus::propose(int input) {
     rec.pref = (cv == CoinValue::kHeads) ? kPref1 : kPref0;
     do_inc(me, rec, view.graph, view.dists);
     ++round;
-    max_round_.store(
-        std::max(max_round_.load(std::memory_order_relaxed), round),
-        std::memory_order_relaxed);
+    latch_max(max_round_, round);
     publish(me, rec, round, 0, false);
     mem_.write(rec);
   }

@@ -138,7 +138,6 @@ class BPRCConsensus final : public ConsensusProtocol {
               std::vector<int>& dists);
   void publish(ProcId me, const BPRCRecord& rec, std::int64_t round,
                int walk_delta, bool decided);
-  void track_counter(std::int64_t c);
 
   Runtime& rt_;
   BPRCParams params_;

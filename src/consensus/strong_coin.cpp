@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "util/assert.hpp"
+#include "util/latch_max.hpp"
 
 namespace bprc {
 
@@ -84,9 +85,7 @@ int StrongCoinConsensus::propose(int input) {
       rec.pref = coin_.flip(rec.round + 1) ? kPref1 : kPref0;
     }
     rec.round += 1;
-    max_round_.store(
-        std::max(max_round_.load(std::memory_order_relaxed), rec.round),
-        std::memory_order_relaxed);
+    latch_max(max_round_, rec.round);
     publish(false);
     mem_.write(rec);
   }

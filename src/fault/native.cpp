@@ -3,7 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "consensus/native_local_coin.hpp"
+#include "consensus/abrahamson.hpp"
 #include "registers/native/native_registers.hpp"
 #include "registers/native/native_scannable.hpp"
 #include "runtime/thread_runtime.hpp"
@@ -120,7 +120,7 @@ NativeOutcome run_strip_handoff(const NativeRunOptions& opts) {
 
 NativeOutcome run_scan_storm(const NativeRunOptions& opts) {
   Harness h(opts, "scan-storm");
-  NativeScannableMemory mem(h.rt(), 0);
+  NativeScannableMemory<std::uint64_t> mem(h.rt(), 0);
   for (ProcId p = 0; p < opts.nprocs; ++p) {
     h.rt().spawn(p, [&mem, p, iters = opts.iters] {
       std::vector<std::uint64_t> view;
@@ -140,7 +140,8 @@ NativeOutcome run_scan_storm(const NativeRunOptions& opts) {
 
 NativeOutcome run_native_consensus(const NativeRunOptions& opts) {
   Harness h(opts, "consensus");
-  NativeLocalCoinConsensus protocol(h.rt());
+  BasicLocalCoinConsensus<NativeScannableMemory<LocalCoinRecord>> protocol(
+      h.rt());
   std::vector<int> inputs(static_cast<std::size_t>(opts.nprocs));
   for (ProcId p = 0; p < opts.nprocs; ++p) {
     inputs[static_cast<std::size_t>(p)] = p % 2;  // split inputs: the

@@ -134,12 +134,17 @@ std::vector<std::string> protocol_names(bool include_broken) {
   return out;
 }
 
-const ProtocolSpec& protocol_spec(const std::string& name) {
+const ProtocolSpec* find_protocol(const std::string& name) {
   for (const ProtocolSpec& spec : protocol_registry()) {
-    if (spec.name == name) return spec;
+    if (spec.name == name) return &spec;
   }
-  BPRC_REQUIRE(false, "unknown protocol name");
-  __builtin_unreachable();
+  return nullptr;
+}
+
+const ProtocolSpec& protocol_spec(const std::string& name) {
+  const ProtocolSpec* spec = find_protocol(name);
+  BPRC_REQUIRE(spec != nullptr, "unknown protocol name");
+  return *spec;
 }
 
 ProtocolFactory make_protocol(const std::string& name, int n,

@@ -78,6 +78,10 @@ const std::vector<ProtocolSpec>& protocol_registry();
 /// Names only, in registry order.
 std::vector<std::string> protocol_names(bool include_broken = false);
 
+/// Looks up `name` in the full registry, crashes_process protocols too;
+/// nullptr if unknown. CLIs and artifact parsers check user input with it.
+const ProtocolSpec* find_protocol(const std::string& name);
+
 /// Looks up `name`; BPRC_REQUIRE on unknown names (campaign configs are
 /// programmer input, not user input — the CLI validates before calling).
 const ProtocolSpec& protocol_spec(const std::string& name);

@@ -1,5 +1,10 @@
 #include "fault/repro.hpp"
 
+#include <algorithm>
+
+#include "engine/adversaries.hpp"
+#include "fault/protocols.hpp"
+
 namespace bprc::fault {
 
 namespace {
@@ -13,9 +18,23 @@ std::string join_ints(const std::vector<int>& v) {
   return out;
 }
 
+/// Generative replay instantiates the adversary by name; a scripted one
+/// keeps it as provenance only (the explorer writes `adversary explore`).
+/// Checked on the `adversary` and the `mode` line, whichever comes last.
+bool generative_adversary_known(record::Reader& r, const Repro& repro) {
+  const std::string& name = repro.run.adversary;
+  const auto& names = engine::adversary_names();
+  return !repro.generative || name.empty() ||
+         std::ranges::find(names, name) != names.end() ||
+         r.fail("unknown adversary '" + name + "' for generative replay");
+}
+
 bool read_repro_line(record::Reader& r, Repro* repro) {
   const std::string_view key = r.key();
-  if (const auto ok = read_run_line(r, &repro->run)) return *ok;
+  if (const auto ok = read_run_line(r, &repro->run)) {
+    return *ok &&
+           (key != "adversary" || generative_adversary_known(r, *repro));
+  }
   if (key == "crash") return read_crash(r, &repro->crashes);
   if (key == "failure") {
     return r.once() && read_failure_class(r, &repro->failure) && r.eol();
@@ -28,7 +47,8 @@ bool read_repro_line(record::Reader& r, Repro* repro) {
     std::string mode;
     repro->generative = true;  // the only mode; any other is refused
     return r.once() && r.word(&mode) && r.eol() &&
-           (mode == "generative" || r.malformed("unknown replay mode"));
+           (mode == "generative" || r.malformed("unknown replay mode")) &&
+           generative_adversary_known(r, *repro);
   }
   if (key == "flips") return r.once() && r.bits(&repro->flips);
   if (key == "stale-reads") return r.once() && read_stales(r, &repro->stales);
@@ -41,8 +61,17 @@ bool read_repro_line(record::Reader& r, Repro* repro) {
 std::optional<bool> read_run_line(record::Reader& r, TortureRun* run) {
   const std::string_view key = r.key();
   if (key == "plan-crash") return read_crash(r, &run->crash_plan);
-  if (key == "protocol") return r.once() && r.word(&run->protocol) && r.eol();
-  if (key == "inputs") return r.once() && r.list(&run->inputs);
+  // Refused here, not aborted on in replay: unknown protocols, non-bits.
+  if (key == "protocol") {
+    return r.once() && r.word(&run->protocol) && r.eol() &&
+           (find_protocol(run->protocol) != nullptr ||
+            r.fail("unknown protocol '" + run->protocol + "'"));
+  }
+  if (key == "inputs") {
+    return r.once() &&
+           r.list(&run->inputs, [](int v) { return v == 0 || v == 1; },
+                  "inputs are bits");
+  }
   if (key == "adversary") {
     return r.once() && r.word(&run->adversary) && r.eol();
   }
@@ -156,6 +185,9 @@ std::optional<Repro> parse_repro(const std::string& text, std::string* err) {
   };
   if (repro.run.protocol.empty() || repro.run.inputs.empty()) {
     return reject("missing protocol or inputs");
+  }
+  if (repro.generative && repro.run.adversary.empty()) {
+    return reject("generative replay without an adversary");
   }
   if (repro.run.max_steps == 0) return reject("missing max-steps");
   if (n > kRunnableMaskBits) {

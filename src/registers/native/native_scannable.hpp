@@ -17,7 +17,8 @@
 //     — a genuine non-SC execution the checker would (correctly) flag.
 //     See docs/MEMORY_ORDERS.md for the full table.
 //
-// Payloads are 24-bit (NativeLoc); the consensus record packs into that.
+// Payloads are 24-bit (NativeLoc); records of type T cross them through
+// NativePayload<T> (LocalCoinRecord's is in consensus/abrahamson.hpp).
 #pragma once
 
 #include <cstdint>
@@ -32,10 +33,22 @@
 
 namespace bprc {
 
+/// `static std::uint64_t pack(const T&)` and `static T unpack(payload)`.
+template <class T>
+struct NativePayload;
+
+template <>
+struct NativePayload<std::uint64_t> {
+  static std::uint64_t pack(std::uint64_t v) { return v; }
+  static std::uint64_t unpack(std::uint64_t payload) { return payload; }
+};
+
+template <class T>
 class NativeScannableMemory {
  public:
-  NativeScannableMemory(Runtime& rt, std::uint64_t initial)
-      : rt_(rt), n_(rt.nprocs()), initial_(initial) {
+  NativeScannableMemory(Runtime& rt, const T& initial_record)
+      : rt_(rt), n_(rt.nprocs()) {
+    const std::uint64_t initial = NativePayload<T>::pack(initial_record);
     const auto width = static_cast<std::size_t>(n_);
     scratch_.resize(width);
     last_written_.assign(width, initial);
@@ -55,11 +68,10 @@ class NativeScannableMemory {
     }
   }
 
-  int nprocs() const { return n_; }
-
   /// §2.2 `procedure write`: raise every scanner's arrow, then publish.
-  void write(std::uint64_t payload) {
+  void write(const T& v) {
     const ProcId me = rt_.self();
+    const std::uint64_t payload = NativePayload<T>::pack(v);
     for (ProcId i = 0; i < n_; ++i) {
       if (i != me) arrow(i, me).write(1);
     }
@@ -70,7 +82,7 @@ class NativeScannableMemory {
   /// §2.2 `function scan`: reset own arrows, double-collect, retry while
   /// any value moved or any arrow was raised. `out` is resized to n; the
   /// caller's slot holds its own most recent write.
-  void scan_into(std::vector<std::uint64_t>& out) {
+  void scan_into(std::vector<T>& out) {
     const ProcId me = rt_.self();
     const auto width = static_cast<std::size_t>(n_);
     Scratch& scratch = scratch_[static_cast<std::size_t>(me)];
@@ -110,10 +122,10 @@ class NativeScannableMemory {
 
     out.resize(width);
     for (ProcId j = 0; j < n_; ++j) {
-      out[static_cast<std::size_t>(j)] =
+      out[static_cast<std::size_t>(j)] = NativePayload<T>::unpack(
           j == me ? last_written_[static_cast<std::size_t>(me)]
                   : NativeLoc::payload_of(
-                        scratch.collect2[static_cast<std::size_t>(j)]);
+                        scratch.collect2[static_cast<std::size_t>(j)]));
     }
   }
 
@@ -143,8 +155,7 @@ class NativeScannableMemory {
 
   Runtime& rt_;
   int n_;
-  std::uint64_t initial_;
-  std::vector<std::uint64_t> last_written_;  ///< per-writer local shadow
+  std::vector<std::uint64_t> last_written_;  ///< per-writer payload shadow
   std::vector<Scratch> scratch_;             ///< per-scanner buffers
   std::vector<std::unique_ptr<NativeSWMR>> values_;
   std::vector<std::unique_ptr<NativeStripCell>> arrows_;

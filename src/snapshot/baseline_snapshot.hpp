@@ -18,6 +18,7 @@
 
 #include "registers/register.hpp"
 #include "runtime/runtime.hpp"
+#include "util/latch_max.hpp"
 #include "verify/snapshot_props.hpp"
 
 namespace bprc {
@@ -44,7 +45,7 @@ class UnboundedSnapshot {
     Entry& mine = local_[static_cast<std::size_t>(me)];
     mine = Entry{v, mine.seq + 1};
     values_[static_cast<std::size_t>(me)]->write(mine, payload);
-    bump_max_seq(mine.seq);
+    latch_max(max_seq_, mine.seq);
     const std::uint64_t res = rt_.now();
     if (recorder_ != nullptr) {
       const std::scoped_lock lock(rec_mu_);
@@ -113,14 +114,6 @@ class UnboundedSnapshot {
     T value;
     std::uint64_t seq;
   };
-
-  void bump_max_seq(std::uint64_t seq) {
-    std::uint64_t cur = max_seq_.load(std::memory_order_relaxed);
-    while (cur < seq &&
-           !max_seq_.compare_exchange_weak(cur, seq,
-                                           std::memory_order_relaxed)) {
-    }
-  }
 
   Runtime& rt_;
   int n_;

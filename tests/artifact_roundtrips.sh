@@ -73,6 +73,15 @@
 #       that let the count through still exits at parse time, starting
 #       nothing, and fails the line for naming the wrong option
 #
+# A hostile artifact must be refused at parse time, never abort replay:
+#
+#   artifact_roundtrips.sh hostile-artifacts BIN_DIR WORK_DIR DATA_DIR
+#       the committed repro and shard fixtures, each edited to carry a
+#       non-bit input, an unregistered protocol or (generative repro) an
+#       unregistered adversary, make `bprc_torture --replay` and `--merge`
+#       exit 2 with a `line N:` diagnostic; the unedited fixtures replay
+#       (exit 0) and merge (exit 1, their recorded finding)
+#
 # BIN_DIR holds bprc_torture and bprc_explore; BENCH_DIR holds
 # bench_frontier. Registered with ctest under the `smoke` label:
 # `ctest -L smoke`.
@@ -307,6 +316,38 @@ EOF
 --max-cache-mb bprc_explore --protocol bprc --n 2 --inputs 0,1 --max-cache-mb 17592186044417
 --n bprc_torture --smoke --n 0
 --n bprc_torture --n 100000 --seeds abc
+--inputs bprc_explore --protocol bprc --n 3 --inputs 0,1,2
+--inputs bprc_explore --protocol bprc --n 2 --inputs -1,1
+EOF
+    ;;
+
+  hostile-artifacts)
+    repro=$data/broken-racy-round-robin-n2-0.bprc-repro
+    shard=$data/bprc-underprov-cycle-regular-k3.bprc-shard
+    "$bin/bprc_torture" --replay "$repro" > /dev/null
+    exits_with_findings "$work/merge.log" "$bin/bprc_torture" --merge "$shard"
+    i=0
+    while read -r option edit; do
+      i=$((i + 1))
+      if [ "$option" = --replay ]; then src=$repro; else src=$shard; fi
+      f=$work/hostile-$i.${src##*.}
+      sed "$edit" "$src" > "$f"
+      ! cmp -s "$src" "$f" || { echo "'$edit' edits nothing" >&2; exit 1; }
+      status=0
+      "$bin/bprc_torture" "$option" "$f" > /dev/null 2> "$work/err" ||
+        status=$?
+      [ "$status" -eq 2 ] ||
+        { echo "$option '$edit': expected exit 2, got $status" >&2; exit 1; }
+      grep -q ' line [0-9]*: ' "$work/err" ||
+        { echo "$option '$edit': no line diagnostic" >&2; exit 1; }
+    done <<'EOF'
+--replay s/^inputs 1 0$/inputs 1 2/
+--replay s/^inputs 1 0$/inputs -1 0/
+--replay s/^protocol broken-racy$/protocol no-such-protocol/
+--replay s/^adversary round-robin$/adversary no-such-adversary/;s/^schedule 1$/mode generative/
+--merge s/^inputs 1 0$/inputs 1 2/
+--merge s/^inputs 1 0$/inputs -1 0/
+--merge s/^protocol bprc-underprov-cycle$/protocol no-such-protocol/
 EOF
     ;;
 

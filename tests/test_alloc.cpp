@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "consensus/abrahamson.hpp"
 #include "consensus/bprc.hpp"
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -161,6 +162,27 @@ TEST(Alloc, BPRCSimRunAllocatesNothingPerIterationAfterWarmUp) {
           << "n=" << n << " seed=" << seed << ": "
           << sampler.counted_steps() << " post-warm-up steps";
     }
+  }
+}
+
+TEST(Alloc, LocalCoinSimRunAllocatesNothingPerIterationAfterWarmUp) {
+  // n=5: at n=3 some seeds decide before any process is warm.
+  constexpr int n = 5;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    auto owner = std::make_unique<AllocSampler>(
+        n, std::make_unique<RandomAdversary>(seed));
+    const AllocSampler& sampler = *owner;
+    SimRuntime rt(n, std::move(owner), seed);
+    LocalCoinConsensus protocol(rt);
+    for (ProcId p = 0; p < n; ++p) {
+      const int input = static_cast<int>(p) % 2;
+      rt.spawn(p, [&protocol, input] { protocol.propose(input); });
+    }
+    ASSERT_EQ(rt.run(80'000'000).reason, RunResult::Reason::kAllDone);
+    EXPECT_GT(sampler.counted_steps(), 0u) << "seed=" << seed;
+    EXPECT_EQ(sampler.counted_allocs(), 0u)
+        << "seed=" << seed << ": " << sampler.counted_steps()
+        << " post-warm-up steps";
   }
 }
 

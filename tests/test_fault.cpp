@@ -68,8 +68,10 @@ TEST(Repro, ParseRejectsMalformedInput) {
                    .has_value());
   // Each line below, substituted into an otherwise valid artifact, must be
   // refused rather than read as something else: a negative unsigned
-  // field (never 2^64-1), a trailing token after a one-word field, and a
-  // failure class this build does not know (never `none`).
+  // field (never 2^64-1), a trailing token after a one-word field, a
+  // failure class this build does not know (never `none`), and what
+  // replay would abort on — an input that is not a bit, a protocol the
+  // registry does not know.
   const std::string good =
       "bprc-repro v1\nprotocol bprc\ninputs 0 1\nadversary random\n"
       "seed 3\nmax-steps 100\nfailure consistency\nschedule 0 1\nend\n";
@@ -79,14 +81,38 @@ TEST(Repro, ParseRejectsMalformedInput) {
       {"max-steps 100\n", "max-steps -5\n"},
       {"protocol bprc\n", "protocol bprc extra\n"},
       {"failure consistency\n", "failure no-such-class\n"},
+      {"inputs 0 1\n", "inputs 0 2\n"},
+      {"inputs 0 1\n", "inputs -1 1\n"},
+      {"protocol bprc\n", "protocol no-such-protocol\n"},
   };
   for (const auto& [from, to] : cases) {
     std::string text = good;
     text.replace(text.find(from), std::string(from).size(), to);
     err.clear();
     EXPECT_FALSE(parse_repro(text, &err).has_value()) << to;
-    EXPECT_FALSE(err.empty()) << to;
+    EXPECT_NE(err.find(" line "), std::string::npos) << to << ": " << err;
   }
+  // Generative replay instantiates the adversary by name: an unknown one
+  // is refused, before or after the `mode` line. A scripted repro keeps
+  // its adversary as provenance only (the explorer writes `explore`).
+  for (const char* text :
+       {"bprc-repro v1\nprotocol bprc\ninputs 0 1\nadversary explore\n"
+        "seed 3\nmax-steps 100\nmode generative\nend\n",
+        "bprc-repro v1\nprotocol bprc\ninputs 0 1\nmode generative\n"
+        "adversary explore\nseed 3\nmax-steps 100\nend\n"}) {
+    err.clear();
+    EXPECT_FALSE(parse_repro(text, &err).has_value()) << text;
+    EXPECT_NE(err.find("unknown adversary 'explore'"), std::string::npos)
+        << err;
+  }
+  EXPECT_FALSE(parse_repro("bprc-repro v1\nprotocol bprc\ninputs 0 1\n"
+                           "seed 3\nmax-steps 100\nmode generative\nend\n",
+                           &err)
+                   .has_value());
+  EXPECT_NE(err.find("without an adversary"), std::string::npos) << err;
+  std::string scripted = good;
+  scripted.replace(scripted.find("adversary random"), 16, "adversary explore");
+  EXPECT_TRUE(parse_repro(scripted, &err).has_value()) << err;
 }
 
 TEST(Repro, UnknownKeysAreSkipped) {

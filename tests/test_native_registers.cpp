@@ -3,9 +3,11 @@
 // checker (and, for consensus, by the standard oracle).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
+#include "consensus/abrahamson.hpp"
 #include "fault/native.hpp"
 #include "verify/weakmem/recorder.hpp"
 #include "verify/weakmem/sc_checker.hpp"
@@ -33,6 +35,32 @@ TEST(NativeRegisters, CaseTableHasBrokenEntriesLast) {
   }
   EXPECT_NE(find_native_case("broken-relaxed"), nullptr);
   EXPECT_EQ(find_native_case("no-such-case"), nullptr);
+}
+
+TEST(NativeRegisters, LocalCoinRecordRoundTripsThroughThePayload) {
+  using Payload = NativePayload<LocalCoinRecord>;
+  constexpr std::int64_t kMax = (std::int64_t{1} << 22) - 1;
+  static_assert(Payload::kMaxVersion == kMax);
+  for (const std::int8_t pref : {0, 1, 2, 3}) {
+    for (const std::int64_t version : {std::int64_t{0}, std::int64_t{1},
+                                       kMax}) {
+      const LocalCoinRecord rec{pref, version};
+      const std::uint64_t payload = Payload::pack(rec);
+      EXPECT_LE(payload, NativeLoc::kPayloadMask);
+      EXPECT_EQ(payload, static_cast<std::uint64_t>(version) << 2 |
+                             static_cast<std::uint64_t>(pref));
+      EXPECT_EQ(Payload::unpack(payload), rec)
+          << "pref=" << int{pref} << " version=" << version;
+    }
+    // Versions past 22 bits clamp; the preference survives.
+    for (const std::int64_t version : {kMax + 1, std::int64_t{1} << 40}) {
+      const LocalCoinRecord back =
+          Payload::unpack(Payload::pack(LocalCoinRecord{pref, version}));
+      EXPECT_EQ(back, (LocalCoinRecord{pref, kMax})) << version;
+    }
+  }
+  // The initial record (unwritten, version 0) is payload 3.
+  EXPECT_EQ(Payload::pack(LocalCoinRecord{}), 3u);
 }
 
 TEST(NativeRegisters, FaithfulCasesPassTheChecker) {

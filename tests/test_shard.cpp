@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -298,6 +299,22 @@ TEST(Wire, MalformedRecordsAreRejectedWithDiagnostics) {
     err.clear();
     EXPECT_FALSE(parse_record(dup, &err).has_value()) << line;
     EXPECT_FALSE(err.empty()) << line;
+  }
+  // A failure block --merge would abort on is refused at parse time: an
+  // input that is not a bit, a protocol the registry does not know.
+  const std::pair<const char*, const char*> cases[] = {
+      {"inputs 0 1 1\n", "inputs 0 1 2\n"},
+      {"inputs 0 1 1\n", "inputs 0 -1 1\n"},
+      {"protocol broken-racy\n", "protocol no-such-protocol\n"},
+  };
+  for (const auto& [from, to] : cases) {
+    std::string bad = text;
+    const std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, std::string(from).size(), to);
+    err.clear();
+    EXPECT_FALSE(parse_record(bad, &err).has_value()) << to;
+    EXPECT_NE(err.find(" line "), std::string::npos) << to << ": " << err;
   }
 }
 

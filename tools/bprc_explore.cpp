@@ -220,7 +220,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
       while (true) {
         const std::size_t comma = rest.find(',');
         int input = 0;
-        if (!record::parse_number(rest.substr(0, comma), &input)) {
+        if (!record::parse_number(rest.substr(0, comma), &input) ||
+            (input != 0 && input != 1)) {
           return bad("--inputs", v);
         }
         opt.inputs.push_back(input);
@@ -525,13 +526,7 @@ int run_explore(const Options& opt) {
   // crashes_process protocol (e.g. broken-segv, for --isolate runs) that
   // protocol_names() deliberately never lists.
   for (const std::string& name : protocols) {
-    const auto& registry = fault::protocol_registry();
-    const bool known =
-        std::any_of(registry.begin(), registry.end(),
-                    [&](const fault::ProtocolSpec& spec) {
-                      return spec.name == name;
-                    });
-    if (!known) {
+    if (fault::find_protocol(name) == nullptr) {
       std::fprintf(stderr, "bprc_explore: unknown protocol '%s'\n",
                    name.c_str());
       return 2;

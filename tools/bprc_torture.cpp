@@ -318,14 +318,7 @@ bool validate_names(const Options& opt) {
   // them, but naming one explicitly is exactly how the shard
   // supervisor's quarantine path is exercised.
   for (const std::string& p : opt.protocols) {
-    bool known = false;
-    for (const ProtocolSpec& spec : protocol_registry()) {
-      if (spec.name == p) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    if (find_protocol(p) == nullptr) {
       std::fprintf(stderr, "bprc_torture: unknown protocol '%s'\n", p.c_str());
       return false;
     }
