@@ -38,8 +38,9 @@ class SharedCoin {
   CoinValue toss() {
     const ProcId me = rt_.self();
     std::int64_t own = 0;
+    std::vector<std::int64_t> view;  // reused by every scan
     while (true) {
-      std::vector<std::int64_t> view = counters_.scan();
+      counters_.scan_into(view);
       view[static_cast<std::size_t>(me)] = own;  // own slot is local truth
       const CoinValue v = coin_value(view, me, params_);
       if (v != CoinValue::kUndecided) {

@@ -33,10 +33,11 @@ class UnboundedCoin {
   CoinValue toss() {
     const ProcId me = rt_.self();
     std::int64_t own = 0;
+    std::vector<std::int64_t> view;  // reused by every scan
     const std::int64_t barrier =
         static_cast<std::int64_t>(params_.b) * params_.n;
     while (true) {
-      std::vector<std::int64_t> view = counters_.scan();
+      counters_.scan_into(view);
       view[static_cast<std::size_t>(me)] = own;
       std::int64_t walk = 0;
       for (const std::int64_t c : view) walk += c;

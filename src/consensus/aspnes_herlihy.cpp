@@ -60,13 +60,13 @@ int AspnesHerlihyConsensus::propose(int input) {
   publish(0, false);
   mem_.write(rec);
 
-  std::vector<AHRecord> view;  // reused by every scan
   while (true) {
-    mem_.scan_into(view);
+    // Read in place: the scanner's own snapshot buffer, no copy.
+    const std::vector<Toggled<AHRecord>>& view = mem_.scan();
     scans_.fetch_add(1, std::memory_order_relaxed);
 
     std::int64_t max_round = rec.round;
-    for (const auto& r : view) max_round = std::max(max_round, r.round);
+    for (const auto& e : view) max_round = std::max(max_round, e.value.round);
     const bool leader = rec.round == max_round;
 
     // Decide: I lead, and everyone whose preference differs trails by the
@@ -75,7 +75,7 @@ int AspnesHerlihyConsensus::propose(int input) {
       bool can_decide = leader;
       for (int j = 0; j < n && can_decide; ++j) {
         if (j == me) continue;
-        const auto& r = view[static_cast<std::size_t>(j)];
+        const auto& r = view[static_cast<std::size_t>(j)].value;
         if (r.pref != rec.pref && rec.round - r.round < trail_) {
           can_decide = false;
         }
@@ -93,7 +93,7 @@ int AspnesHerlihyConsensus::propose(int input) {
     std::optional<std::int8_t> agreed;
     bool leaders_agree = true;
     for (int j = 0; j < n && leaders_agree; ++j) {
-      const auto& r = view[static_cast<std::size_t>(j)];
+      const auto& r = view[static_cast<std::size_t>(j)].value;
       if (r.round != max_round) continue;
       if (r.pref != kPref0 && r.pref != kPref1) {
         leaders_agree = false;
@@ -125,7 +125,8 @@ int AspnesHerlihyConsensus::propose(int input) {
     const std::int64_t target = rec.round + 1;
     std::int64_t walk = 0;
     for (int j = 0; j < n; ++j) {
-      walk += (j == me ? rec : view[static_cast<std::size_t>(j)]).coin(target);
+      walk += (j == me ? rec : view[static_cast<std::size_t>(j)].value)
+                  .coin(target);
     }
     if (walk > barrier || walk < -barrier) {
       rec.pref = walk > barrier ? kPref1 : kPref0;

@@ -56,18 +56,16 @@ BPRCConsensus::BPRCConsensus(Runtime& rt, BPRCParams params, ArrowImpl arrows)
 
 void BPRCConsensus::scan_view(View& view) {
   // In-place twin of "scan, copy the edge rows out, make_graph": the
-  // snapshot lands in the caller's reused buffers and the graph is decoded
-  // straight from the scanned records — zero allocations in steady state.
-  mem_.scan_into(view.recs);
+  // graph is decoded straight from the scanner's own snapshot buffer —
+  // no record copied, zero allocations in steady state.
+  view.snap = &mem_.scan();
   scans_.fetch_add(1, std::memory_order_relaxed);
   view.graph.reset_tied();
   for (int i = 0; i < params_.n; ++i) {
     for (int j = i + 1; j < params_.n; ++j) {
       const auto s = decode_edge(
-          view.recs[static_cast<std::size_t>(i)]
-              .edges[static_cast<std::size_t>(j)],
-          view.recs[static_cast<std::size_t>(j)]
-              .edges[static_cast<std::size_t>(i)],
+          view.rec(i).edges[static_cast<std::size_t>(j)],
+          view.rec(j).edges[static_cast<std::size_t>(i)],
           params_.K, cycle_phys_);
       BPRC_REQUIRE(s.has_value(),
                    "scanned edge counters decode to no valid difference");
@@ -92,7 +90,7 @@ bool BPRCConsensus::all_disagree_trail_K(ProcId me, std::int8_t pref,
   // cap K.
   for (int j = 0; j < params_.n; ++j) {
     if (j == me) continue;
-    if (view.recs[static_cast<std::size_t>(j)].pref == pref) continue;
+    if (view.rec(j).pref == pref) continue;
     if (view.graph.signed_diff(me, j) != params_.K) return false;
   }
   return true;
@@ -105,7 +103,7 @@ std::optional<std::int8_t> BPRCConsensus::leaders_agreement(
   std::optional<std::int8_t> value;
   for (int j = 0; j < params_.n; ++j) {
     if (!view.graph.is_leader(j)) continue;
-    const std::int8_t p = view.recs[static_cast<std::size_t>(j)].pref;
+    const std::int8_t p = view.rec(j).pref;
     if (p != kPref0 && p != kPref1) return std::nullopt;
     if (value.has_value() && *value != p) return std::nullopt;
     value = p;
@@ -133,7 +131,7 @@ CoinValue BPRCConsensus::next_coin_value(ProcId me, const BPRCRecord& mine,
         latch_max(slot_demand_, s + 2);
       }
       counters[static_cast<std::size_t>(j)] =
-          view.recs[static_cast<std::size_t>(j)].coins.read_for_trailing(s);
+          view.rec(j).coins.read_for_trailing(s);
     }
   }
   return coin_value(counters, me, params_.coin);
@@ -197,7 +195,7 @@ int BPRCConsensus::propose(int input) {
   // computed against the all-tied initial graph (this process has not yet
   // observed anyone, and from the initial state the correct move is to
   // pull one step ahead of everyone regardless of what they have done).
-  View view{{},
+  View view{nullptr,
             DistanceGraph(params_.n, params_.K),
             {},
             std::vector<std::int64_t>(static_cast<std::size_t>(params_.n))};

@@ -122,10 +122,16 @@ class BPRCConsensus final : public ConsensusProtocol {
   /// One proposer's scan result plus its scratch buffers, reused across
   /// the proposer's iterations so a step allocates nothing.
   struct View {
-    std::vector<BPRCRecord> recs;
+    /// The snapshot, read in place from the proposer's scan buffer
+    /// (ScannableMemory::scan); valid until its next scan.
+    const std::vector<Toggled<BPRCRecord>>* snap = nullptr;
     DistanceGraph graph;
     std::vector<int> dists;             ///< inc_counters scratch
     std::vector<std::int64_t> counters;  ///< next_coin_value scratch (n)
+
+    const BPRCRecord& rec(int j) const {
+      return (*snap)[static_cast<std::size_t>(j)].value;
+    }
   };
 
   void scan_view(View& view);

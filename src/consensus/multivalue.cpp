@@ -45,9 +45,9 @@ std::uint64_t MultiValueConsensus::propose(std::uint64_t input) {
       // My candidate lost this bit: adopt an announced input that matches
       // everything decided so far. The proposer of the winning bit had
       // one, and its announcement precedes this rescan.
-      const std::vector<Announcement> seen = announcements_.scan();
       bool switched = false;
-      for (const auto& a : seen) {
+      for (const auto& e : announcements_.scan()) {
+        const Announcement& a = e.value;
         if (a.valid && (a.value & prefix_mask) == decided_prefix) {
           candidate = a.value;
           switched = true;

@@ -42,17 +42,18 @@ int StrongCoinConsensus::propose(int input) {
   mem_.write(rec);
 
   while (true) {
-    const std::vector<StrongCoinRecord> view = mem_.scan();
+    // Read in place: the scanner's own snapshot buffer, no copy.
+    const std::vector<Toggled<StrongCoinRecord>>& view = mem_.scan();
 
     std::int64_t max_round = rec.round;
-    for (const auto& r : view) max_round = std::max(max_round, r.round);
+    for (const auto& e : view) max_round = std::max(max_round, e.value.round);
     const bool leader = rec.round == max_round;
 
     if (rec.pref == kPref0 || rec.pref == kPref1) {
       bool can_decide = leader;
       for (int j = 0; j < n && can_decide; ++j) {
         if (j == me) continue;
-        const auto& r = view[static_cast<std::size_t>(j)];
+        const auto& r = view[static_cast<std::size_t>(j)].value;
         if (r.pref != rec.pref && rec.round - r.round < trail_) {
           can_decide = false;
         }
@@ -68,7 +69,7 @@ int StrongCoinConsensus::propose(int input) {
     std::optional<std::int8_t> agreed;
     bool leaders_agree = true;
     for (int j = 0; j < n && leaders_agree; ++j) {
-      const auto& r = view[static_cast<std::size_t>(j)];
+      const auto& r = view[static_cast<std::size_t>(j)].value;
       if (r.round != max_round) continue;
       if (r.pref != kPref0 && r.pref != kPref1) {
         leaders_agree = false;

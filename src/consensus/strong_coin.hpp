@@ -44,7 +44,7 @@ class AtomicCoinFlip {
     const std::scoped_lock lock(mu_);
     auto [it, inserted] = bits_.try_emplace(phase, false);
     if (inserted) it->second = rng_.flip();
-    if (sink_ != nullptr) {
+    if (sink_ != nullptr && sink_->listening()) {
       // Outside the read/write model, so report via the generic event
       // hook: the digest pins (phase, bit) and the first caller of a
       // phase mutates the shared phase→bit map.

@@ -52,9 +52,8 @@ class StickyBit {
   /// (nullopt) otherwise. Never proposes — safe for processes that must
   /// not participate in the arbitration.
   std::optional<int> read() {
-    const std::vector<std::int8_t> view = board_.scan();
-    for (const std::int8_t b : view) {
-      if (b >= 0) return static_cast<int>(b);
+    for (const auto& e : board_.scan()) {
+      if (e.value >= 0) return static_cast<int>(e.value);
     }
     return std::nullopt;
   }
@@ -87,9 +86,8 @@ class StickyRegister {
   }
 
   std::optional<std::uint64_t> read() {
-    const auto view = board_.scan();
-    for (const Slot& s : view) {
-      if (s.stuck) return s.value;
+    for (const auto& e : board_.scan()) {
+      if (e.value.stuck) return e.value.value;
     }
     return std::nullopt;
   }

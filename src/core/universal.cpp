@@ -61,21 +61,21 @@ UniversalLog::Entry UniversalLog::drive_slot(int slot) {
   // that process has a pending command on the board, everyone proposes
   // it, so it wins by validity. Otherwise propose my own pending command;
   // otherwise any pending; otherwise an owner-stamped no-op.
-  const std::vector<Pending> board = board_.scan();
+  const std::vector<Toggled<Pending>>& board = board_.scan();
   const int n = rt_.nprocs();
   const ProcId preferred = static_cast<ProcId>(slot % n);
   std::uint64_t proposal;
-  if (board[static_cast<std::size_t>(preferred)].active) {
-    const auto& p = board[static_cast<std::size_t>(preferred)];
+  if (board[static_cast<std::size_t>(preferred)].value.active) {
+    const auto& p = board[static_cast<std::size_t>(preferred)].value;
     proposal = encode(preferred, p.seq, p.payload);
-  } else if (board[static_cast<std::size_t>(me)].active) {
-    const auto& p = board[static_cast<std::size_t>(me)];
+  } else if (board[static_cast<std::size_t>(me)].value.active) {
+    const auto& p = board[static_cast<std::size_t>(me)].value;
     proposal = encode(me, p.seq, p.payload);
   } else {
     proposal = encode(me, 0, 0);  // no-op filler (seq 0 never announced)
     for (ProcId q = 0; q < n; ++q) {
-      if (board[static_cast<std::size_t>(q)].active) {
-        const auto& p = board[static_cast<std::size_t>(q)];
+      if (board[static_cast<std::size_t>(q)].value.active) {
+        const auto& p = board[static_cast<std::size_t>(q)].value;
         proposal = encode(q, p.seq, p.payload);
         break;
       }

@@ -203,8 +203,7 @@ class Explorer final : public FlipTape, public TraceSink {
 
     if (cursor_ < trail_.size()) return replay_pick(runnable);
 
-    const std::uint64_t depth = exec_schedule_.size();
-    if (depth >= limits_.branch_depth) {
+    if (past_frontier()) {
       if (cut_leaves_) {
         // The leaf is fully determined by its prefix: cut here and let
         // an executor worker replay prefix + deterministic tail.
@@ -213,9 +212,7 @@ class Explorer final : public FlipTape, public TraceSink {
       }
       // Deterministic completion: with seed-derived coins every leaf is a
       // finished run the full oracle can grade.
-      const ProcId p = round_robin_after(
-          runnable, exec_schedule_.empty() ? -1 : exec_schedule_.back(),
-          nprocs_);
+      const ProcId p = round_robin_after(runnable, last_pick_, nprocs_);
       record_pick(p);
       return p;
     }
@@ -234,7 +231,7 @@ class Explorer final : public FlipTape, public TraceSink {
       }
       if (key == 0) key = kSeenZeroKey;  // 0 marks empty compact slots
       const SeenCache::Visit visit =
-          seen_.visit(key, static_cast<std::uint8_t>(depth));
+          seen_.visit(key, static_cast<std::uint8_t>(depth_));
       if (visit == SeenCache::Visit::kMerged) {
         ++stats_.states_merged;
         pruned_ = true;
@@ -290,8 +287,7 @@ class Explorer final : public FlipTape, public TraceSink {
       // generator (no coin node was created). Both branching gates are
       // monotone along an execution, so that must still be the case —
       // anything else is a replay divergence.
-      BPRC_REQUIRE(exec_schedule_.size() >= limits_.branch_depth ||
-                       coins_used_ >= limits_.max_coin_flips,
+      BPRC_REQUIRE(past_frontier() || coins_used_ >= limits_.max_coin_flips,
                    "exploration diverged: unforced flip inside the branch "
                    "region during replay");
       record_flip(drawn, /*forced=*/false);
@@ -301,8 +297,7 @@ class Explorer final : public FlipTape, public TraceSink {
     // conditions are monotone along an execution, so the forced flips
     // always form a prefix of the run's flip sequence — exactly what
     // ScriptedFlipTape re-forces on replay.
-    if (exec_schedule_.size() < limits_.branch_depth &&
-        coins_used_ < limits_.max_coin_flips) {
+    if (!past_frontier() && coins_used_ < limits_.max_coin_flips) {
       Node node;
       node.is_coin = true;
       node.coin_value = false;
@@ -336,8 +331,7 @@ class Explorer final : public FlipTape, public TraceSink {
       // prefix was first executed the present read was unforced (resolved
       // to the atomic answer without a node). Both gates are monotone
       // along an execution, so that must still be the case.
-      BPRC_REQUIRE(exec_schedule_.size() >= limits_.branch_depth ||
-                       stales_used_ >= limits_.max_stale_reads,
+      BPRC_REQUIRE(past_frontier() || stales_used_ >= limits_.max_stale_reads,
                    "exploration diverged: unforced stale read inside the "
                    "branch region during replay");
       record_stale(sr.reader, 0, /*forced=*/false);
@@ -346,8 +340,7 @@ class Explorer final : public FlipTape, public TraceSink {
     // Branch a fresh stale read only inside the branch region and budget;
     // monotone gates keep the forced choices a prefix of the run's
     // stale-read sequence — exactly what ScriptedAdversary re-forces.
-    if (exec_schedule_.size() < limits_.branch_depth &&
-        stales_used_ < limits_.max_stale_reads) {
+    if (!past_frontier() && stales_used_ < limits_.max_stale_reads) {
       Node node;
       node.is_stale = true;
       node.stale_value = 0;
@@ -375,13 +368,14 @@ class Explorer final : public FlipTape, public TraceSink {
     return id;
   }
 
+  // Past the branch region the sink is quiet (see record_pick): no
+  // fingerprint is taken there, so these hooks are not even called.
   void on_read(ProcId p, int object) override {
     // Folding the *last-writer identity* of the object into the reader's
     // history hash grounds the value read: written values are
     // deterministic functions of the writer's local history, so equal
     // histories + equal last-writer identities imply equal contents —
     // no hashing of arbitrary value types needed.
-    if (past_frontier()) return;
     auto& h = proc_hash_[static_cast<std::size_t>(p)];
     h = fnv_mix(h, 0x52);
     h = fnv_mix(h, static_cast<std::uint64_t>(object));
@@ -389,7 +383,6 @@ class Explorer final : public FlipTape, public TraceSink {
   }
 
   void on_write(ProcId p, int object) override {
-    if (past_frontier()) return;
     auto& h = proc_hash_[static_cast<std::size_t>(p)];
     h = fnv_mix(h, 0x57);
     h = fnv_mix(h, static_cast<std::uint64_t>(object));
@@ -415,9 +408,7 @@ class Explorer final : public FlipTape, public TraceSink {
   /// True once this execution has reached the branching depth. Depth
   /// only grows within an execution and fingerprints are taken only at
   /// frontier nodes, so the tail's reads and writes need no hashing.
-  bool past_frontier() const {
-    return exec_schedule_.size() >= limits_.branch_depth;
-  }
+  bool past_frontier() const { return depth_ >= limits_.branch_depth; }
 
   /// Root slice for --frontier-split: keep the candidates whose rank
   /// (position among set bits) lands on this slice.
@@ -504,9 +495,13 @@ class Explorer final : public FlipTape, public TraceSink {
     return node.chosen;
   }
 
+  /// Tail picks land only in the event stream: the replay prefix is the
+  /// trail's, and a violation's full schedule is decoded from the events.
   void record_pick(ProcId p) {
-    exec_schedule_.push_back(p);
+    ++depth_;
+    last_pick_ = p;
     exec_events_.push_back(static_cast<std::uint8_t>(p + 1));
+    set_quiet(past_frontier());
   }
 
   void record_flip(bool value, bool forced) {
@@ -580,12 +575,20 @@ class Explorer final : public FlipTape, public TraceSink {
     leaf.spec.flips = exec_flips_;
     leaf.spec.stales = exec_stales_;
     if (cut_leaves_ && !pruned_) {
-      leaf.spec.schedule = exec_schedule_;
+      // Cut at the branch boundary: every pick so far was a trail node.
+      for (const Node& node : trail_) {
+        if (!node.is_coin && !node.is_stale) {
+          leaf.spec.schedule.push_back(node.chosen);
+        }
+      }
       instance_.reset();
       return leaf;
     }
     LeafOutcome& out = leaf.settled.emplace();
-    out.events = exec_events_;
+    // Handed over, not copied; the next execution refills a buffer of
+    // the same size.
+    out.events.swap(exec_events_);
+    exec_events_.reserve(out.events.size());
     out.steps = run.steps;
     if (pruned_) {
       out.pruned = true;
@@ -627,7 +630,9 @@ class Explorer final : public FlipTape, public TraceSink {
     cur_sleep_ = 0;  // the root has an empty sleep set
     pruned_ = false;
     cut_ = false;
-    exec_schedule_.clear();
+    depth_ = 0;
+    last_pick_ = -1;
+    set_quiet(past_frontier());
     exec_flips_.clear();
     exec_stales_.clear();
     exec_events_.clear();
@@ -874,7 +879,8 @@ class Explorer final : public FlipTape, public TraceSink {
   std::uint64_t cur_sleep_ = 0;     ///< sleep set inherited by the frontier
   bool pruned_ = false;
   bool cut_ = false;                ///< cut at the branch boundary
-  std::vector<ProcId> exec_schedule_;
+  std::uint64_t depth_ = 0;         ///< picks made (scheduling depth)
+  ProcId last_pick_ = -1;           ///< the latest pick; -1 before any
   std::vector<bool> exec_flips_;
   std::vector<int> exec_stales_;    ///< forced stale choices (replay prefix)
   std::vector<std::uint8_t> exec_events_;  ///< leaf_grader.hpp encoding

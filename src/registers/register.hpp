@@ -156,18 +156,25 @@ class Register {
   /// construction, like the trace sink) a read overlapping an in-flight
   /// write serves whichever legal value the adversary chooses.
   T read() {
-    rt_.checkpoint({OpDesc::Kind::kRead, id_, 0});
-    const MaybeLock lock(mu_, locked_);
-    return serve();
+    return read_with([](const T& served) { return served; });
   }
 
   /// Atomic read that copy-assigns into `out` instead of returning a
   /// temporary. For T with heap-owning members (vectors), a steady-state
   /// caller buffer makes the read allocation-free — the hot-loop variant.
   void read_into(T& out) {
+    read_with([&out](const T& served) { out = served; });
+  }
+
+  /// The one read primitive: checkpoint, then `visit(served)` with the
+  /// served value (see read()) under the register's lock, returning what
+  /// `visit` returns. Lets a caller inspect the value in place — compare
+  /// it, copy part of it — without copying the whole record out.
+  template <class Visit>
+  decltype(auto) read_with(Visit&& visit) {
     rt_.checkpoint({OpDesc::Kind::kRead, id_, 0});
     const MaybeLock lock(mu_, locked_);
-    out = serve();
+    return visit(serve());
   }
 
   /// Atomic write; a single-writer register's caller must be the owner.
@@ -180,7 +187,9 @@ class Register {
     if (weak_ != nullptr) weak_->announce(rt_.self(), v);
     rt_.checkpoint({OpDesc::Kind::kWrite, id_, payload});
     const MaybeLock lock(mu_, locked_);
-    if (sink_ != nullptr) sink_->on_write(rt_.self(), trace_id_);
+    if (sink_ != nullptr && sink_->listening()) {
+      sink_->on_write(rt_.self(), trace_id_);
+    }
     if (weak_ != nullptr) weak_->commit(value_);
     value_ = v;
   }
@@ -214,7 +223,9 @@ class Register {
   /// The value a read returns, with `mu_` held: the committed one, or the
   /// weakened alternative the adversary chose.
   const T& serve() {
-    if (sink_ != nullptr) sink_->on_read(rt_.self(), trace_id_);
+    if (sink_ != nullptr && sink_->listening()) {
+      sink_->on_read(rt_.self(), trace_id_);
+    }
     if (weak_ != nullptr) {
       if (const T* alt = weak_->resolve(rt_, sem_, stale_object())) {
         return *alt;

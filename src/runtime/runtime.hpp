@@ -110,9 +110,17 @@ struct Hint {
 /// nullptr (the default, and every runtime outside exploration) pays a
 /// single cached null check per register. Install a sink before
 /// constructing the shared objects that should report to it.
+///
+/// A sink that has stopped observing for the rest of a run (the explorer
+/// past its branch region) says so with set_quiet(true): callers check
+/// listening() — a non-virtual flag load — before each hook, so a quiet
+/// sink costs no virtual call per operation.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
+
+  /// False while the sink is quiet: callers skip the hooks below.
+  bool listening() const { return !quiet_; }
 
   /// Called once per shared object at construction; returns the object's
   /// dense trace id (a fresh sequential int). Unlike OpDesc::object —
@@ -131,6 +139,12 @@ class TraceSink {
   /// its result, `mutates` says whether shared state changed.
   virtual void on_event(ProcId p, int object, std::uint64_t digest,
                         bool mutates) = 0;
+
+ protected:
+  void set_quiet(bool quiet) { quiet_ = quiet; }
+
+ private:
+  bool quiet_ = false;
 };
 
 /// One recorded native shared-memory operation (src/registers/native/).

@@ -41,12 +41,12 @@ class UnboundedSnapshot {
 
   void write(const T& v, std::int64_t payload = 0) {
     const ProcId me = rt_.self();
-    const std::uint64_t inv = rt_.now();
+    const std::uint64_t inv = record_tick(rt_, recorder_);
     Entry& mine = local_[static_cast<std::size_t>(me)];
     mine = Entry{v, mine.seq + 1};
     values_[static_cast<std::size_t>(me)]->write(mine, payload);
     latch_max(max_seq_, mine.seq);
-    const std::uint64_t res = rt_.now();
+    const std::uint64_t res = record_tick(rt_, recorder_);
     if (recorder_ != nullptr) {
       const std::scoped_lock lock(rec_mu_);
       recorder_->add_write({me, mine.seq, inv, res});
@@ -55,7 +55,7 @@ class UnboundedSnapshot {
 
   std::vector<T> scan() {
     const ProcId me = rt_.self();
-    const std::uint64_t inv = rt_.now();
+    const std::uint64_t inv = record_tick(rt_, recorder_);
     const std::size_t width = static_cast<std::size_t>(n_);
     std::vector<Entry> collect1(width);
     std::vector<Entry> collect2(width);
@@ -84,7 +84,7 @@ class UnboundedSnapshot {
     }
     collect2[static_cast<std::size_t>(me)] =
         local_[static_cast<std::size_t>(me)];
-    const std::uint64_t res = rt_.now();
+    const std::uint64_t res = record_tick(rt_, recorder_);
     if (recorder_ != nullptr) {
       SnapScanRec rec{me, inv, res, {}};
       rec.view.reserve(width);

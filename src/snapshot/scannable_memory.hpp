@@ -19,6 +19,12 @@
 // the consensus protocol meets because every process alternates scan and
 // write.
 //
+// scan() hands back the scanner's own snapshot buffer — the first
+// collect, which the second collect compared against in place — as a
+// const reference valid until that process's next scan: no record is
+// copied out. scan_into() is the copy-out wrapper for callers that want
+// plain values in a vector of their own.
+//
 // The arrows can be backed either by native 2W2R registers or by Bloom's
 // bounded construction from single-writer registers (ArrowImpl::kBloom),
 // exercising the full citation lineage of the paper at ~2× step cost.
@@ -54,7 +60,7 @@ class ScannableMemory {
         last_written_(static_cast<std::size_t>(n_),
                       Toggled<T>{initial, false, 0}) {
     if (recorder_ != nullptr) recorder_->nprocs = n_;
-    scratch_.resize(static_cast<std::size_t>(n_));
+    snaps_.resize(static_cast<std::size_t>(n_));
     values_.reserve(static_cast<std::size_t>(n_));
     for (ProcId j = 0; j < n_; ++j) {
       values_.push_back(std::make_unique<SWMRRegister<Toggled<T>>>(
@@ -82,7 +88,7 @@ class ScannableMemory {
   /// Write operation of the calling process (§2.2 `procedure write`).
   void write(const T& v, std::int64_t payload = 0) {
     const ProcId me = rt_.self();
-    const std::uint64_t inv = rt_.now();
+    const std::uint64_t inv = record_tick(rt_, recorder_);
     for (ProcId i = 0; i < n_; ++i) {
       if (i != me) arrow_write(i, me, true);
     }
@@ -91,39 +97,30 @@ class ScannableMemory {
     Toggled<T>& entry = last_written_[static_cast<std::size_t>(me)];
     advance_toggled(entry, v);
     values_[static_cast<std::size_t>(me)]->write(entry, payload);
-    const std::uint64_t res = rt_.now();
     if (recorder_ != nullptr) {
+      const std::uint64_t res = rt_.now();
       const std::scoped_lock lock(rec_mu_);
       recorder_->add_write({me, entry.ghost_index, inv, res});
     }
   }
 
   /// Scan operation of the calling process (§2.2 `function scan`).
-  /// Returns an n-wide snapshot view; the caller's own slot holds its own
-  /// most recently written value.
-  std::vector<T> scan() {
-    std::vector<T> view;
-    scan_into(view);
-    return view;
-  }
-
-  /// scan() variant that copy-assigns the snapshot into `out` (resized to
-  /// n). In steady state — `out` reused across calls, T's heap members at
-  /// stable sizes — the whole scan allocates nothing: the collects land in
-  /// per-scanner scratch buffers and the register reads go through
-  /// read_into. The consensus hot loop (one scan per protocol step) calls
-  /// this directly.
-  void scan_into(std::vector<T>& out) {
+  /// Returns the n-wide snapshot view in the caller's own scan buffer,
+  /// valid until the caller's next scan; the caller's own slot holds its
+  /// own most recently written entry. The first collect reads each
+  /// register into the buffer and the second collect compares the value
+  /// it is served against the buffer in place (same checkpoint, trace
+  /// hook and weakened-read resolution as any read), adopting the served
+  /// ghost index on equality — so the view is the second collect's, as
+  /// the paper's scan returns. In steady state a scan allocates nothing.
+  const std::vector<Toggled<T>>& scan() {
     const ProcId me = rt_.self();
-    const std::uint64_t inv = rt_.now();
+    const std::uint64_t inv = record_tick(rt_, recorder_);
     const std::size_t width = static_cast<std::size_t>(n_);
-    // Scratch is indexed by the scanning process, so concurrent scans by
-    // distinct processes (ThreadRuntime) never share a buffer.
-    ScanScratch& scratch = scratch_[static_cast<std::size_t>(me)];
-    std::vector<Toggled<T>>& collect1 = scratch.collect1;
-    std::vector<Toggled<T>>& collect2 = scratch.collect2;
-    collect1.resize(width);
-    collect2.resize(width);
+    // Indexed by the scanning process, so concurrent scans by distinct
+    // processes (ThreadRuntime) never share a buffer.
+    std::vector<Toggled<T>>& snap = snaps_[static_cast<std::size_t>(me)];
+    snap.resize(width, last_written_[static_cast<std::size_t>(me)]);
 
     while (true) {
       for (ProcId j = 0; j < n_; ++j) {
@@ -132,45 +129,48 @@ class ScannableMemory {
       for (ProcId j = 0; j < n_; ++j) {
         if (j != me) {
           values_[static_cast<std::size_t>(j)]->read_into(
-              collect1[static_cast<std::size_t>(j)]);
+              snap[static_cast<std::size_t>(j)]);
         }
       }
+      bool changed = false;
       for (ProcId j = 0; j < n_; ++j) {
-        if (j != me) {
-          values_[static_cast<std::size_t>(j)]->read_into(
-              collect2[static_cast<std::size_t>(j)]);
-        }
+        if (j == me) continue;
+        Toggled<T>& first = snap[static_cast<std::size_t>(j)];
+        const bool same = values_[static_cast<std::size_t>(j)]->read_with(
+            [&first](const Toggled<T>& served) {
+              if (served != first) return false;
+              first.ghost_index = served.ghost_index;
+              return true;
+            });
+        changed = changed || !same;
       }
-      bool dirty = false;
-      for (ProcId j = 0; j < n_ && !dirty; ++j) {
-        if (j != me && arrow_read(me, j)) dirty = true;
+      bool raised = false;
+      for (ProcId j = 0; j < n_ && !raised; ++j) {
+        if (j != me && arrow_read(me, j)) raised = true;
       }
-      for (ProcId j = 0; j < n_ && !dirty; ++j) {
-        if (j != me &&
-            collect1[static_cast<std::size_t>(j)] !=
-                collect2[static_cast<std::size_t>(j)]) {
-          dirty = true;
-        }
-      }
-      if (!dirty) break;
+      if (!raised && !changed) break;
       retries_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    collect2[static_cast<std::size_t>(me)] =
+    snap[static_cast<std::size_t>(me)] =
         last_written_[static_cast<std::size_t>(me)];
-    const std::uint64_t res = rt_.now();
     if (recorder_ != nullptr) {
-      SnapScanRec rec{me, inv, res, {}};
+      SnapScanRec rec{me, inv, rt_.now(), {}};
       rec.view.reserve(width);
-      for (const auto& entry : collect2) rec.view.push_back(entry.ghost_index);
+      for (const auto& entry : snap) rec.view.push_back(entry.ghost_index);
       const std::scoped_lock lock(rec_mu_);
       recorder_->add_scan(std::move(rec));
     }
+    return snap;
+  }
 
-    out.resize(width);
-    for (std::size_t j = 0; j < width; ++j) {
-      out[j] = collect2[j].value;  // copy, not move: scratch keeps capacity
-    }
+  /// scan() copied out into plain values: `out` is resized to n and
+  /// copy-assigned slot by slot, so a reused `out` (with T's heap members
+  /// at stable sizes) keeps the scan allocation-free.
+  void scan_into(std::vector<T>& out) {
+    const std::vector<Toggled<T>>& snap = scan();
+    out.resize(snap.size());
+    for (std::size_t j = 0; j < snap.size(); ++j) out[j] = snap[j].value;
   }
 
   /// Total scan-attempt retries across all processes (progress metric for
@@ -180,12 +180,6 @@ class ScannableMemory {
   }
 
  private:
-  /// Double-collect buffers of one scanner, reused across its scans.
-  struct ScanScratch {
-    std::vector<Toggled<T>> collect1;
-    std::vector<Toggled<T>> collect2;
-  };
-
   struct ArrowSlot {
     std::unique_ptr<MRMWRegister<bool>> native;
     std::unique_ptr<Bloom2W2R<bool>> bloom;
@@ -215,7 +209,7 @@ class ScannableMemory {
   SnapshotHistory* recorder_;
   std::mutex rec_mu_;
   std::vector<Toggled<T>> last_written_;  ///< per-writer local shadow copy
-  std::vector<ScanScratch> scratch_;      ///< per-scanner, see ScanScratch
+  std::vector<std::vector<Toggled<T>>> snaps_;  ///< per-scanner scan buffer
   std::vector<std::unique_ptr<SWMRRegister<Toggled<T>>>> values_;
   std::vector<ArrowSlot> arrows_;
   std::atomic<std::uint64_t> retries_{0};

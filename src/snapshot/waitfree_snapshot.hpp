@@ -58,7 +58,7 @@ class WaitFreeSnapshot {
   /// register operation (the AADGMS update).
   void update(const T& v, std::int64_t payload = 0) {
     const ProcId me = rt_.self();
-    const std::uint64_t inv = rt_.now();
+    const std::uint64_t inv = record_tick(rt_, recorder_);
     View embedded = scan_internal();
     Entry& mine = local_[static_cast<std::size_t>(me)];
     mine.value = v;
@@ -66,7 +66,7 @@ class WaitFreeSnapshot {
     mine.embedded_values = std::move(embedded.values);
     mine.embedded_ghosts = std::move(embedded.ghosts);
     registers_[static_cast<std::size_t>(me)]->write(mine, payload);
-    const std::uint64_t res = rt_.now();
+    const std::uint64_t res = record_tick(rt_, recorder_);
     if (recorder_ != nullptr) {
       const std::scoped_lock lock(rec_mu_);
       recorder_->add_write({me, mine.seq, inv, res});
@@ -77,9 +77,9 @@ class WaitFreeSnapshot {
   /// view of a writer observed moving twice. Completes within n+1
   /// attempts unconditionally.
   std::vector<T> scan() {
-    const std::uint64_t inv = rt_.now();
+    const std::uint64_t inv = record_tick(rt_, recorder_);
     View view = scan_internal();
-    const std::uint64_t res = rt_.now();
+    const std::uint64_t res = record_tick(rt_, recorder_);
     if (recorder_ != nullptr) {
       SnapScanRec rec{rt_.self(), inv, res, std::move(view.ghosts)};
       const std::scoped_lock lock(rec_mu_);

@@ -62,6 +62,14 @@ struct SnapshotHistory {
   void add_scan(SnapScanRec s) { scans.push_back(std::move(s)); }
 };
 
+/// Invocation/response timestamp for a snapshot object's operation: a
+/// fresh Runtime::now() tick when `recorder` is installed, else 0 — an
+/// unrecorded run takes no clock ticks (under ThreadRuntime each is a
+/// shared atomic increment).
+inline std::uint64_t record_tick(Runtime& rt, const SnapshotHistory* recorder) {
+  return recorder != nullptr ? rt.now() : 0;
+}
+
 /// Each checker returns std::nullopt on success or a human-readable
 /// description of the first violation found.
 std::optional<std::string> check_p1_regularity(const SnapshotHistory& h);

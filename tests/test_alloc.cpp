@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "consensus/abrahamson.hpp"
+#include "consensus/aspnes_herlihy.hpp"
 #include "consensus/bprc.hpp"
+#include "consensus/strong_coin.hpp"
 #include "runtime/adversary.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "snapshot/scannable_memory.hpp"
@@ -165,15 +167,18 @@ TEST(Alloc, BPRCSimRunAllocatesNothingPerIterationAfterWarmUp) {
   }
 }
 
-TEST(Alloc, LocalCoinSimRunAllocatesNothingPerIterationAfterWarmUp) {
-  // n=5: at n=3 some seeds decide before any process is warm.
-  constexpr int n = 5;
+/// Runs `Protocol` with n processes under AllocSampler(RandomAdversary(
+/// seed)) for seeds 1-4 (`make(rt, seed)` builds it) and expects
+/// post-warm-up steps but no allocations in them. n is chosen per
+/// protocol so that every seed runs long enough to warm up.
+template <class Protocol, class Make>
+void expect_no_allocs_after_warm_up(int n, Make make) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     auto owner = std::make_unique<AllocSampler>(
         n, std::make_unique<RandomAdversary>(seed));
     const AllocSampler& sampler = *owner;
     SimRuntime rt(n, std::move(owner), seed);
-    LocalCoinConsensus protocol(rt);
+    Protocol protocol = make(rt, seed);
     for (ProcId p = 0; p < n; ++p) {
       const int input = static_cast<int>(p) % 2;
       rt.spawn(p, [&protocol, input] { protocol.propose(input); });
@@ -184,6 +189,27 @@ TEST(Alloc, LocalCoinSimRunAllocatesNothingPerIterationAfterWarmUp) {
         << "seed=" << seed << ": " << sampler.counted_steps()
         << " post-warm-up steps";
   }
+}
+
+TEST(Alloc, LocalCoinSimRunAllocatesNothingPerIterationAfterWarmUp) {
+  // n=5: at n=3 some seeds decide before any process is warm.
+  expect_no_allocs_after_warm_up<LocalCoinConsensus>(
+      5, [](SimRuntime& rt, std::uint64_t) { return LocalCoinConsensus(rt); });
+}
+
+TEST(Alloc, StrongCoinSimRunAllocatesNothingPerIterationAfterWarmUp) {
+  // n=7: at n=5 seed 4 decides before any process is warm.
+  expect_no_allocs_after_warm_up<StrongCoinConsensus>(
+      7, [](SimRuntime& rt, std::uint64_t seed) {
+        return StrongCoinConsensus(rt, /*coin_seed=*/seed);
+      });
+}
+
+TEST(Alloc, AspnesHerlihySimRunAllocatesNothingPerIterationAfterWarmUp) {
+  expect_no_allocs_after_warm_up<AspnesHerlihyConsensus>(
+      5, [](SimRuntime& rt, std::uint64_t) {
+    return AspnesHerlihyConsensus(rt, CoinParams::standard(rt.nprocs()));
+  });
 }
 
 }  // namespace

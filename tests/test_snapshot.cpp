@@ -14,6 +14,7 @@
 #include "runtime/thread_runtime.hpp"
 #include "snapshot/baseline_snapshot.hpp"
 #include "snapshot/scannable_memory.hpp"
+#include "util/fnv.hpp"
 #include "verify/snapshot_props.hpp"
 
 namespace bprc {
@@ -27,7 +28,7 @@ TEST(ScannableMemory, SingleProcessScanSeesOwnWrite) {
   std::vector<int> view;
   rt.spawn(0, [&] {
     mem.write(7);
-    view = mem.scan();
+    mem.scan_into(view);
   });
   rt.run(1000);
   ASSERT_EQ(view.size(), 1u);
@@ -38,7 +39,7 @@ TEST(ScannableMemory, ScanReturnsInitialValuesBeforeAnyWrite) {
   SimRuntime rt(3, std::make_unique<RoundRobinAdversary>(), 1);
   ScannableMemory<int> mem(rt, 42);
   std::vector<int> view;
-  rt.spawn(0, [&] { view = mem.scan(); });
+  rt.spawn(0, [&] { mem.scan_into(view); });
   rt.run(1000);
   EXPECT_EQ(view, (std::vector<int>{42, 42, 42}));
 }
@@ -51,7 +52,7 @@ TEST(ScannableMemory, SequentialWritesVisibleToLaterScan) {
   std::vector<int> view;
   rt.spawn(0, [&] { mem.write(10); });
   rt.spawn(1, [&] { mem.write(20); });
-  rt.spawn(2, [&] { view = mem.scan(); });
+  rt.spawn(2, [&] { mem.scan_into(view); });
   rt.run(10000);
   EXPECT_EQ(view[0], 10);
   EXPECT_EQ(view[1], 20);
@@ -238,7 +239,7 @@ TEST(ScannableMemory, WriterCrashMidWriteDoesNotWedgeScans) {
   ScannableMemory<int> mem(rt, 0, Arrow::kNative, &hist);
   std::vector<int> view;
   rt.spawn(0, [&] { mem.write(77); });  // dies mid-write
-  rt.spawn(1, [&] { view = mem.scan(); });
+  rt.spawn(1, [&] { mem.scan_into(view); });
   const RunResult res = rt.run(100000);
   EXPECT_EQ(res.reason, RunResult::Reason::kAllDone);
   ASSERT_EQ(view.size(), 2u);
@@ -266,7 +267,7 @@ TEST(ScannableMemory, WriterCrashBetweenValueAndNothingElse) {
     mem.write(88);
     mem.write(99);  // never gets here
   });
-  rt.spawn(1, [&] { view = mem.scan(); });
+  rt.spawn(1, [&] { mem.scan_into(view); });
   const RunResult res = rt.run(100000);
   EXPECT_EQ(res.reason, RunResult::Reason::kAllDone);
   ASSERT_EQ(view.size(), 2u);
@@ -292,6 +293,120 @@ TEST(ScannableMemory, StepCostOfUncontendedScan) {
   rt.spawn(0, [&] { mem.scan(); });
   rt.run(1000);
   EXPECT_EQ(rt.steps(0), static_cast<std::uint64_t>(4 * (n - 1)));
+}
+
+/// FNV-1a over a whole recorded history: every write's (writer, ghost,
+/// inv, res) and every scan's (scanner, inv, res, view ghosts), in
+/// completion order.
+std::uint64_t history_digest(const SnapshotHistory& h) {
+  std::uint64_t d = fnv_mix(kFnvOffset, static_cast<std::uint64_t>(h.nprocs));
+  for (const SnapWriteRec& w : h.writes) {
+    d = fnv_mix(d, static_cast<std::uint64_t>(w.writer));
+    d = fnv_mix(d, w.index);
+    d = fnv_mix(d, w.inv);
+    d = fnv_mix(d, w.res);
+  }
+  d = fnv_mix(d, 0x5CA7);
+  for (const SnapScanRec& s : h.scans) {
+    d = fnv_mix(d, static_cast<std::uint64_t>(s.scanner));
+    d = fnv_mix(d, s.inv);
+    d = fnv_mix(d, s.res);
+    for (const std::uint64_t g : s.view) d = fnv_mix(d, g);
+  }
+  return d;
+}
+
+/// Random scheduling that also crashes, with probability 1/16 per pick, a
+/// process parked at its value-register write (object ids below n) —
+/// up to n-1 of them. A write crashed there never executes, so its
+/// window stays open for the rest of the run: under weakened semantics
+/// every later read of that register may serve either value.
+class MidWriteCrasher final : public Adversary {
+ public:
+  explicit MidWriteCrasher(std::uint64_t seed) : inner_(seed), rng_(~seed) {}
+
+  ProcId pick(SimCtl& ctl) override {
+    const int n = ctl.nprocs();
+    for (ProcId p = 0; p < n && crashes_ < n - 1; ++p) {
+      const SimCtl::ProcView& v = ctl.view(p);
+      if (v.runnable && v.pending.kind == OpDesc::Kind::kWrite &&
+          v.pending.object >= 0 && v.pending.object < n &&
+          rng_.below(16) == 0) {
+        ctl.crash(p);
+        ++crashes_;
+      }
+    }
+    return ctl.runnable_mask() == 0 ? -1 : inner_.pick(ctl);
+  }
+  int resolve_read(SimCtl& ctl, const StaleRead& sr) override {
+    return inner_.resolve_read(ctl, sr);
+  }
+  std::string name() const override { return "mid-write-crasher"; }
+
+ private:
+  RandomAdversary inner_;
+  Rng rng_;
+  int crashes_ = 0;
+};
+
+/// One pinned recorded run: n = 3 processes alternating write/scan under
+/// `sem`, scheduled (and stale reads resolved) by a seeded random
+/// adversary, with or without mid-write crashes. With `repeat` every
+/// process writes the same payload each time, so entries two writes
+/// apart compare equal and a weakened read can serve an older ghost the
+/// double collect cannot tell apart: the view must report the second
+/// collect's ghosts.
+struct PinnedHistory {
+  RegisterSemantics sem;
+  bool crashes;
+  bool repeat;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+std::uint64_t pinned_history_digest(const PinnedHistory& c) {
+  constexpr int kN = 3;
+  SnapshotHistory hist;
+  std::unique_ptr<Adversary> adv;
+  if (c.crashes) {
+    adv = std::make_unique<MidWriteCrasher>(c.seed);
+  } else {
+    adv = std::make_unique<RandomAdversary>(c.seed);
+  }
+  SimRuntime rt(kN, std::move(adv), c.seed);
+  rt.set_register_semantics(c.sem);
+  ScannableMemory<int> mem(rt, 0, Arrow::kNative, &hist);
+  for (ProcId p = 0; p < kN; ++p) {
+    rt.spawn(p, [&mem, p, &c] {
+      for (int k = 0; k < 8; ++k) {
+        mem.write(c.repeat ? static_cast<int>(p) : static_cast<int>(p) * 100 + k);
+        mem.scan();
+      }
+    });
+  }
+  rt.run(20'000);
+  return history_digest(hist);
+}
+
+TEST(ScannableMemory, RecordedHistoriesArePinned) {
+  // Atomic, regular and safe registers; random schedules with and without
+  // crashes that leave write windows open. The digests pin every write and scan
+  // interval and every view ghost of these runs.
+  const PinnedHistory cases[] = {
+      {RegisterSemantics::kAtomic, false, false, 1, 0xc1e7936f4c98437fULL},
+      {RegisterSemantics::kAtomic, true, true, 2, 0x000ff0159f93ba78ULL},
+      {RegisterSemantics::kRegular, false, true, 3, 0xea70f15090687e49ULL},
+      {RegisterSemantics::kRegular, true, false, 4, 0xbee1bffd24ea0f44ULL},
+      {RegisterSemantics::kRegular, true, true, 5, 0x85db5bf2eab5c6a6ULL},
+      {RegisterSemantics::kSafe, false, true, 6, 0x7e9d12f074e9b145ULL},
+      {RegisterSemantics::kSafe, true, false, 7, 0x49fa652a4fd56b64ULL},
+      {RegisterSemantics::kSafe, true, true, 8, 0xedf06e325a65ef24ULL},
+  };
+  for (const PinnedHistory& c : cases) {
+    EXPECT_EQ(pinned_history_digest(c), c.digest)
+        << to_string(c.sem) << (c.crashes ? " mid-write crashes" : "")
+        << (c.repeat ? " repeat" : "") << " seed " << c.seed;
+  }
 }
 
 }  // namespace

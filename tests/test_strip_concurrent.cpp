@@ -26,7 +26,8 @@ void strip_worker(Runtime& rt, ScannableMemory<EdgeCounters>& mem, int K,
   const ProcId me = rt.self();
   EdgeCounters row = initial_edge_counters(rt.nprocs());
   for (int r = 0; r < rounds; ++r) {
-    std::vector<EdgeCounters> rows = mem.scan();
+    std::vector<EdgeCounters> rows;
+    mem.scan_into(rows);
     rows[static_cast<std::size_t>(me)] = row;  // own row: local truth
     const DistanceGraph g = make_graph(rows, K);  // aborts on bad decode
     // Sanity: every pairwise difference is in the valid band.
@@ -110,7 +111,8 @@ TEST(StripConcurrent, LoneRunnerSaturatesAtK) {
   rt.spawn(0, [&] {
     EdgeCounters row = initial_edge_counters(n);
     for (int r = 0; r < 100; ++r) {
-      std::vector<EdgeCounters> rows = mem.scan();
+      std::vector<EdgeCounters> rows;
+      mem.scan_into(rows);
       rows[0] = row;
       const DistanceGraph g = make_graph(rows, K);
       inc_counters(0, g, row);
